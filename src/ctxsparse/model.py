@@ -177,6 +177,9 @@ class KVCacheStore:
 
     Single-owner mutable state: one generation stream per store. Buffers
     grow by doubling so appends stay amortized O(1) over long generations.
+    ``append`` writes one row; ``extend`` writes a block of rows and is
+    atomic: it checks the whole block first, so a rejected block leaves the
+    layer exactly as it was.
     """
 
     def __init__(self, num_layers: int):
@@ -186,31 +189,66 @@ class KVCacheStore:
         self._n = [0] * num_layers
         self.positions = [[] for _ in range(num_layers)]
 
-    def _ensure_capacity(self, layer: int, dim: int):
-        buf = self._k[layer]
-        if buf is None:
-            self._k[layer] = np.empty((16, dim))
-            self._v[layer] = np.empty((16, dim))
-        elif self._n[layer] == buf.shape[0]:
-            for attr in ("_k", "_v"):
-                old = getattr(self, attr)[layer]
-                grown = np.empty((old.shape[0] * 2, dim))
-                grown[:old.shape[0]] = old
-                getattr(self, attr)[layer] = grown
+    def _ensure_capacity(self, layer: int, dim: int, rows: int = 1):
+        """Make room for ``rows`` more rows, doubling from 16 as needed."""
+        n = self._n[layer]
+        cap = 0 if self._k[layer] is None else self._k[layer].shape[0]
+        if n + rows <= cap:
+            return
+        cap = max(cap, 16)
+        while cap < n + rows:
+            cap *= 2
+        for store in (self._k, self._v):
+            grown = np.empty((cap, dim))
+            if n:
+                grown[:n] = store[layer][:n]
+            store[layer] = grown
 
-    def append(self, layer: int, k: np.ndarray, v: np.ndarray, position: int):
+    def _check_order(self, layer: int, position: int):
         pos = self.positions[layer]
         if pos and position <= pos[-1]:
             raise ContractViolation(
                 f"cache position conflict at layer {layer}: "
                 f"{position} <= {pos[-1]}"
             )
+
+    def append(self, layer: int, k: np.ndarray, v: np.ndarray, position: int):
+        self._check_order(layer, position)
         self._ensure_capacity(layer, k.shape[-1])
         n = self._n[layer]
         self._k[layer][n] = k
         self._v[layer][n] = v
         self._n[layer] = n + 1
-        pos.append(position)
+        self.positions[layer].append(position)
+
+    def extend(self, layer: int, k: np.ndarray, v: np.ndarray, positions):
+        """Write rows ``k[i]``, ``v[i]`` at ``positions[i]`` in one copy.
+
+        Positions must increase strictly, within the block and past the
+        last cached one. Nothing is written unless the whole block is valid.
+        """
+        positions = np.asarray(positions, dtype=np.int64)
+        if k.ndim != 2 or k.shape != v.shape or positions.shape != k.shape[:1]:
+            raise ContractViolation(
+                f"cache block shapes k {k.shape}, v {v.shape} do not match "
+                f"positions {positions.shape}")
+        n = positions.size
+        if n == 0:
+            return
+        if self._k[layer] is not None and self._k[layer].shape[1] != k.shape[1]:
+            raise ContractViolation(
+                f"cache block width {k.shape[1]} != layer width "
+                f"{self._k[layer].shape[1]}")
+        if (np.diff(positions) <= 0).any():
+            raise ContractViolation(
+                f"cache block positions at layer {layer} are not increasing")
+        self._check_order(layer, int(positions[0]))
+        self._ensure_capacity(layer, k.shape[1], n)
+        start = self._n[layer]
+        self._k[layer][start:start + n] = k
+        self._v[layer][start:start + n] = v
+        self._n[layer] = start + n
+        self.positions[layer].extend(positions.tolist())
 
     def length(self, layer: int) -> int:
         return self._n[layer]
@@ -246,14 +284,6 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
     return x.transpose(1, 0, 2).reshape(n, h * dh)
 
 
-def _masked_softmax_heads(scores: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Apply the 2-D masked-softmax kernel across stacked head matrices."""
-    h, n, m = scores.shape
-    flat = scores.reshape(h * n, m)
-    mask_flat = np.broadcast_to(mask, (h, n, m)).reshape(h * n, m)
-    return kernels.masked_softmax(flat, mask_flat).reshape(h, n, m)
-
-
 def causal_mask(n: int) -> np.ndarray:
     """Lower-triangular attention mask over an ordered token subset."""
     return np.tril(np.ones((n, n)))
@@ -275,7 +305,7 @@ def decoder_layer_forward(layer: LayerWeights, tokens: np.ndarray,
     k = _split_heads(normed @ layer.w_k, num_heads)
     v = _split_heads(normed @ layer.w_v, num_heads)
     scores = (q @ k.transpose(0, 2, 1)) * dh ** -0.5
-    probs = _masked_softmax_heads(scores, attn_mask)
+    probs = kernels.masked_softmax(scores, attn_mask)
     ctx = _merge_heads(probs @ v)
     attn_out = tokens + ctx @ layer.w_o
     normed2 = _rms_norm(attn_out, layer.ffn_norm_gain)
@@ -358,10 +388,10 @@ def prefill(model: Model, state: SequenceState, meter=None):
     cache = KVCacheStore(model.config.num_layers)
     x = state.prefill_tokens()
     mask = causal_mask(x.shape[0])
+    positions = np.arange(x.shape[0])
     for li, layer in enumerate(model.layers):
         k, v = _project_kv(layer, x, model.config.num_heads)
-        for pos in range(x.shape[0]):
-            cache.append(li, k[pos], v[pos], pos)
+        cache.extend(li, k, v, positions)
         x = decoder_layer_forward(layer, x, mask, model.config.num_heads, meter)
     return _logits_at(model, x[-1]), cache
 
@@ -480,30 +510,62 @@ def save_checkpoint(path, model: Model, predictors=None):
         f.write(buf.getvalue())
 
 
+def _load_arrays(data, prefix: str, params: dict):
+    """Copy each stored array into the matching live parameter after
+    checking that it is present, shaped alike and finite."""
+    for name, arr in params.items():
+        key = f"{prefix}/{name}"
+        if key not in data.files:
+            raise CheckpointError(f"checkpoint is missing array {key}")
+        value = data[key]
+        if value.shape != arr.shape:
+            raise CheckpointError(
+                f"checkpoint array {key} has shape {value.shape}, "
+                f"expected {arr.shape}")
+        if value.dtype.kind != "f" or not np.isfinite(value).all():
+            raise CheckpointError(
+                f"checkpoint array {key} is not finite floating point")
+        arr[...] = value
+
+
 def load_checkpoint(path):
-    """Load a checkpoint; returns (model, predictors-or-None)."""
+    """Load a checkpoint; returns (model, predictors-or-None).
+
+    Every defect of the file (unreadable, missing or misshapen arrays,
+    non-finite weights, malformed or unknown config entries, wrong version)
+    raises ``CheckpointError``.
+    """
     from .predictors import PredictorConfig, Predictors
 
     try:
         data = np.load(path)
     except Exception as exc:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
-    if "__meta__" not in data:
-        raise CheckpointError("checkpoint has no metadata record")
-    meta = json.loads(bytes(data["__meta__"]).decode())
-    version = meta.get("checkpoint_version")
-    if version != CHECKPOINT_VERSION:
-        raise CheckpointError(
-            f"checkpoint version {version} incompatible with supported "
-            f"version {CHECKPOINT_VERSION}"
-        )
-    model = make_model(ModelConfig(**meta["model_config"]), seed=0)
-    for name, arr in model.parameters().items():
-        arr[...] = data[f"model/{name}"]
-    predictors = None
-    if meta.get("has_predictors"):
-        predictors = Predictors(PredictorConfig(**meta["predictor_config"]),
-                                np.random.default_rng(0))
-        for name, arr in predictors.parameters().items():
-            arr[...] = data[f"predictors/{name}"]
+    if not isinstance(data, np.lib.npyio.NpzFile):
+        raise CheckpointError(f"checkpoint {path} is not an npz container")
+    with data:
+        if "__meta__" not in data.files:
+            raise CheckpointError("checkpoint has no metadata record")
+        try:
+            meta = json.loads(bytes(data["__meta__"]).decode())
+            version = meta.get("checkpoint_version")
+        except (ValueError, AttributeError) as exc:
+            raise CheckpointError(f"checkpoint metadata is malformed: {exc}") from exc
+        if version != CHECKPOINT_VERSION:
+            raise CheckpointError(
+                f"checkpoint version {version} incompatible with supported "
+                f"version {CHECKPOINT_VERSION}"
+            )
+        try:
+            model = make_model(ModelConfig(**meta["model_config"]), seed=0)
+            predictors = None
+            if meta.get("has_predictors"):
+                predictors = Predictors(
+                    PredictorConfig(**meta["predictor_config"]),
+                    np.random.default_rng(0))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CheckpointError(f"checkpoint config is malformed: {exc!r}") from exc
+        _load_arrays(data, "model", model.parameters())
+        if predictors is not None:
+            _load_arrays(data, "predictors", predictors.parameters())
     return model, predictors

@@ -119,7 +119,7 @@ def _predictor_block(blk: dict, x: np.ndarray, num_heads: int,
     ``valid`` optionally masks out padded key columns (batch mode); rows are
     left unconstrained since pad-row outputs are discarded downstream.
     """
-    n, h = x.shape[-2], x.shape[-1]
+    h = x.shape[-1]
     dh = h // num_heads
     normed = _rms_norm(x, blk["attn_norm_gain"])
     q = (normed @ blk["w_q"]).reshape(*x.shape[:-1], num_heads, dh)
@@ -130,12 +130,9 @@ def _predictor_block(blk: dict, x: np.ndarray, num_heads: int,
     v = np.moveaxis(v, -2, -3)
     scores = (q @ np.swapaxes(k, -1, -2)) * dh ** -0.5
     if valid is None:
-        flat = scores.reshape(-1, n)
-        probs = kernels.softmax_rows(flat).reshape(scores.shape)
+        probs = kernels.softmax_rows(scores)
     else:
-        mask = np.broadcast_to(valid[..., None, None, :], scores.shape)
-        flat = scores.reshape(-1, n)
-        probs = kernels.masked_softmax(flat, mask.reshape(-1, n)).reshape(scores.shape)
+        probs = kernels.masked_softmax(scores, valid[..., None, None, :])
     ctx = np.moveaxis(probs @ v, -3, -2).reshape(x.shape)
     x = x + ctx @ blk["w_o"]
     normed2 = _rms_norm(x, blk["ffn_norm_gain"])

@@ -212,8 +212,7 @@ def sparse_prefill(model: Model, predictors: Predictors, state: SequenceState,
     mask = causal_mask(x.shape[0])
     for li in range(split):
         k, v = _project_kv(model.layers[li], x, heads)
-        for pos in range(x.shape[0]):
-            cache.append(li, k[pos], v[pos], pos)
+        cache.extend(li, k, v, np.arange(x.shape[0]))
         x = decoder_layer_forward(model.layers[li], x, mask, heads, meter)
     keep = select_image_keep(predictors, x[:state.n_image], cfg)
     if state.n_prefill > 0 and keep.size + state.n_text == 0:
@@ -223,8 +222,7 @@ def sparse_prefill(model: Model, predictors: Predictors, state: SequenceState,
     mask = causal_mask(x.shape[0])
     for li in range(split, model.config.num_layers):
         k, v = _project_kv(model.layers[li], x, heads)
-        for row, pos in enumerate(positions):
-            cache.append(li, k[row], v[row], int(pos))
+        cache.extend(li, k, v, positions)
         x = decoder_layer_forward(model.layers[li], x, mask, heads, meter)
     return _logits_at(model, x[-1]), cache, keep
 
@@ -384,14 +382,6 @@ class PaddedBatch:
         return len(self.states)
 
 
-def _batched_masked_softmax(scores: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    b, h, n, mcols = scores.shape
-    mask4 = np.broadcast_to(mask[:, None, :, :], scores.shape)
-    flat = kernels.masked_softmax(scores.reshape(-1, mcols).copy(),
-                                  mask4.reshape(-1, mcols))
-    return flat.reshape(scores.shape)
-
-
 def _batched_layer_forward(layer, x: np.ndarray, mask: np.ndarray,
                            num_heads: int) -> np.ndarray:
     """Batched twin of ``decoder_layer_forward`` over (B, N, d) tokens with a
@@ -403,7 +393,7 @@ def _batched_layer_forward(layer, x: np.ndarray, mask: np.ndarray,
         return mat.reshape(bsz, n, num_heads, dh).transpose(0, 2, 1, 3)
     q, k, v = heads(normed @ layer.w_q), heads(normed @ layer.w_k), heads(normed @ layer.w_v)
     scores = (q @ k.transpose(0, 1, 3, 2)) * dh ** -0.5
-    probs = _batched_masked_softmax(scores, mask)
+    probs = kernels.masked_softmax(scores, mask[:, None])
     ctx = (probs @ v).transpose(0, 2, 1, 3).reshape(bsz, n, d)
     x = x + ctx @ layer.w_o
     normed2 = _rms_norm(x, layer.ffn_norm_gain)
@@ -500,8 +490,7 @@ def _cache_batched(layer, x, valid, caches, layer_idx, positions_per_sample):
     v = _rms_norm(x, layer.attn_norm_gain) @ layer.w_v
     for b, positions in enumerate(positions_per_sample):
         rows = np.flatnonzero(valid[b])
-        for row, pos in zip(rows, positions):
-            caches[b].append(layer_idx, k[b, row], v[b, row], int(pos))
+        caches[b].extend(layer_idx, k[b, rows], v[b, rows], positions)
 
 
 def batch_sparse_decode(model: Model, predictors: Predictors,
@@ -593,10 +582,7 @@ def _batch_decode_with_cache(model, predictors, batch, cfg):
             kh = keys.reshape(batch.size, n_keys, heads, dh).transpose(0, 2, 1, 3)
             vh = vals.reshape(batch.size, n_keys, heads, dh).transpose(0, 2, 1, 3)
             scores = np.einsum("bhd,bhnd->bhn", qh, kh) * dh ** -0.5
-            mask = np.broadcast_to(kvalid[:, None, :], scores.shape)
-            probs = kernels.masked_softmax(
-                scores.reshape(-1, n_keys).copy(),
-                mask.reshape(-1, n_keys)).reshape(scores.shape)
+            probs = kernels.masked_softmax(scores, kvalid[:, None, :])
             ctx = np.einsum("bhn,bhnd->bhd", probs, vh).reshape(batch.size, d)
             attn_out = x + ctx @ layer.w_o
             normed2 = _rms_norm(attn_out, layer.ffn_norm_gain)

@@ -125,3 +125,112 @@ def test_topk_matches_stable_sort_oracle():
         oracle = sorted(sorted(range(n), key=lambda i: (-scores[i], i))[:k])
         got = kernels.topk_argmax(scores, k).tolist()
         assert got == oracle
+
+
+# -- N-D scores and broadcast masks --------------------------------------------
+
+
+def reference_softmax(x):
+    """Plain out-of-place formulation the kernels must match bit for bit."""
+    shifted = x - np.max(x, axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    return e / np.sum(e, axis=-1, keepdims=True)
+
+
+def reference_masked_softmax(x, g):
+    z = np.where(np.broadcast_to(g, x.shape) != 0.0, x, -np.inf)
+    return reference_softmax(z)
+
+
+def per_slice_masked_softmax(x, g):
+    """The kernel applied one 2-D slice at a time on an expanded mask."""
+    full = np.broadcast_to(g, x.shape)
+    out = np.empty_like(x)
+    for idx in np.ndindex(x.shape[:-2]):
+        out[idx] = kernels.masked_softmax(x[idx], full[idx])
+    return out
+
+
+def caller_masks(rng):
+    """(scores, mask) pairs in every mask shape the engine's callers pass."""
+    b, h, n, m = 3, 4, 7, 9
+    causal = np.tril(np.ones((n, n)))
+    valid = np.ones((b, n), dtype=bool)
+    valid[0, :3] = False
+    valid[2, :1] = False
+    padded = (np.tril(np.ones((n, n), dtype=bool))[None] & valid[:, None, :]
+              | np.eye(n, dtype=bool)[None])
+    kvalid = np.ones((b, m), dtype=bool)
+    kvalid[1, :4] = False
+    return [
+        (rng.normal(scale=6.0, size=(h, n, n)), causal),                 # heads
+        (rng.normal(scale=6.0, size=(b, h, n, n)), padded[:, None]),     # padded
+        (rng.normal(scale=6.0, size=(b, h, n, n)), valid[:, None, None, :]),
+        (rng.normal(scale=6.0, size=(b, h, m)), kvalid[:, None, :]),     # decode
+    ]
+
+
+def test_masked_softmax_nd_matches_per_slice_and_reference():
+    rng = np.random.default_rng(10)
+    for scores, mask in caller_masks(rng):
+        got = kernels.masked_softmax(scores, mask)
+        assert got.shape == scores.shape
+        assert np.array_equal(got, per_slice_masked_softmax(scores, mask))
+        assert np.array_equal(got, reference_masked_softmax(scores, mask))
+        assert (got[np.broadcast_to(mask, scores.shape) == 0] == 0.0).all()
+
+
+def test_softmax_rows_nd_matches_per_slice_and_reference():
+    x = np.random.default_rng(11).normal(scale=6.0, size=(2, 3, 5, 8))
+    got = kernels.softmax_rows(x)
+    assert np.array_equal(got, reference_softmax(x))
+    for idx in np.ndindex(x.shape[:-2]):
+        assert np.array_equal(got[idx], kernels.softmax_rows(x[idx]))
+
+
+def test_softmax_result_independent_of_input_layout():
+    rng = np.random.default_rng(12)
+    base = rng.normal(scale=6.0, size=(3, 40, 4))
+    strided = base.transpose(0, 2, 1)  # last axis not contiguous
+    mask = (rng.random((3, 1, 40)) < 0.7)
+    mask[..., -1] = True
+    dense = np.ascontiguousarray(strided)
+    assert np.array_equal(kernels.softmax_rows(strided), kernels.softmax_rows(dense))
+    got = kernels.masked_softmax(strided, mask)
+    assert got.flags.c_contiguous
+    assert np.array_equal(got, kernels.masked_softmax(dense, mask))
+
+
+def test_softmax_kernels_leave_input_unchanged():
+    rng = np.random.default_rng(13)
+    for scores, mask in caller_masks(rng):
+        before, mask_before = scores.copy(), mask.copy()
+        kernels.masked_softmax(scores, mask)
+        kernels.softmax_rows(scores)
+        assert np.array_equal(scores, before)
+        assert np.array_equal(mask, mask_before)
+
+
+def test_masked_softmax_rejects_non_broadcasting_mask():
+    x = np.zeros((2, 3, 4))
+    for bad in (np.ones((3, 5)), np.ones((2, 1, 3, 4)), np.ones((3, 3, 4)),
+                np.ones(())):
+        with pytest.raises(ContractViolation):
+            kernels.masked_softmax(x, bad)
+
+
+def test_masked_softmax_rejects_all_zero_row_in_broadcast_mask():
+    x = np.zeros((2, 4, 3, 3))
+    mask = np.ones((2, 1, 1, 3))
+    mask[1] = 0.0  # one sample's only mask row is empty for every head
+    with pytest.raises(ContractViolation):
+        kernels.masked_softmax(x, mask)
+    with pytest.raises(ContractViolation):
+        kernels.masked_softmax(np.zeros((2, 0)), np.ones((1, 1)))
+
+
+def test_softmax_kernels_reject_rank_below_two():
+    with pytest.raises(ContractViolation):
+        kernels.softmax_rows([1.0, 2.0])
+    with pytest.raises(ContractViolation):
+        kernels.masked_softmax([1.0, 2.0], [1.0, 1.0])

@@ -242,3 +242,105 @@ def test_checkpoint_rejects_bad_version(tmp_path):
     np.savez(path, **data)
     with pytest.raises(CheckpointError):
         m.load_checkpoint(path)
+
+
+# -- bulk cache writes -----------------------------------------------------------
+
+
+def cache_snapshot(cache, layer):
+    k, v = cache.stacked(layer)
+    return k.copy(), v.copy(), list(cache.positions[layer]), cache.length(layer)
+
+
+def test_cache_extend_matches_row_appends_across_capacity():
+    rng = np.random.default_rng(21)
+    for prior in (0, 5):
+        for rows in (15, 16, 17, 33):
+            k = rng.normal(size=(prior + rows, 8))
+            v = rng.normal(size=(prior + rows, 8))
+            pos = np.cumsum(rng.integers(1, 4, size=prior + rows))
+            by_row, bulk = m.KVCacheStore(1), m.KVCacheStore(1)
+            for i in range(prior + rows):
+                by_row.append(0, k[i], v[i], int(pos[i]))
+            for i in range(prior):
+                bulk.append(0, k[i], v[i], int(pos[i]))
+            bulk.extend(0, k[prior:], v[prior:], pos[prior:])
+            want, got = cache_snapshot(by_row, 0), cache_snapshot(bulk, 0)
+            assert np.array_equal(want[0], got[0])
+            assert np.array_equal(want[1], got[1])
+            assert want[2:] == got[2:]
+            assert all(type(p) is int for p in got[2])
+
+
+def test_cache_extend_rejects_bad_order_and_leaves_cache_unchanged():
+    rng = np.random.default_rng(22)
+    cache = m.KVCacheStore(1)
+    cache.extend(0, rng.normal(size=(16, 8)), rng.normal(size=(16, 8)),
+                 np.arange(16))
+    before = cache_snapshot(cache, 0)
+    for block in ([16, 17, 17, 18], [16, 18, 17], [15, 20], [16] + list(range(10, 40))):
+        with pytest.raises(ContractViolation):
+            cache.extend(0, rng.normal(size=(len(block), 8)),
+                         rng.normal(size=(len(block), 8)), block)
+        after = cache_snapshot(cache, 0)
+        assert np.array_equal(before[0], after[0])
+        assert np.array_equal(before[1], after[1])
+        assert before[2:] == after[2:]
+    with pytest.raises(ContractViolation):
+        cache.extend(0, np.zeros((2, 8)), np.zeros((3, 8)), [20, 21])
+    with pytest.raises(ContractViolation):
+        cache.extend(0, np.zeros((2, 6)), np.zeros((2, 6)), [20, 21])
+    assert cache_snapshot(cache, 0)[2:] == before[2:]
+
+
+# -- checkpoint defects ------------------------------------------------------------
+
+
+def rewrite_checkpoint(path, edit):
+    """Load the raw arrays and metadata, apply ``edit(arrays, meta)``, save."""
+    import json
+    data = dict(np.load(path))
+    meta = json.loads(bytes(data.pop("__meta__")).decode())
+    edit(data, meta)
+    data["__meta__"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+    np.savez(path, **data)
+
+
+def saved_checkpoint(tmp_path):
+    path = tmp_path / "ckpt.npz"
+    m.save_checkpoint(path, toy_model(7),
+                      make_predictors(PredictorConfig(input_dim=64), seed=7))
+    return path
+
+
+def test_checkpoint_missing_array_raises_checkpoint_error(tmp_path):
+    path = saved_checkpoint(tmp_path)
+    rewrite_checkpoint(path, lambda arrays, meta: arrays.pop("predictors/image.proj"))
+    with pytest.raises(CheckpointError, match="missing"):
+        m.load_checkpoint(path)
+
+
+def test_checkpoint_wrong_shape_raises_checkpoint_error(tmp_path):
+    path = saved_checkpoint(tmp_path)
+
+    def shrink(arrays, meta):
+        arrays["model/lm_head"] = arrays["model/lm_head"][:, :10]
+    rewrite_checkpoint(path, shrink)
+    with pytest.raises(CheckpointError, match="shape"):
+        m.load_checkpoint(path)
+
+
+def test_checkpoint_unknown_config_key_raises_checkpoint_error(tmp_path):
+    path = saved_checkpoint(tmp_path)
+    rewrite_checkpoint(path, lambda arrays, meta: meta["model_config"].update(bogus=1))
+    with pytest.raises(CheckpointError, match="config"):
+        m.load_checkpoint(path)
+
+
+def test_checkpoint_non_finite_weights_rejected(tmp_path):
+    model = toy_model(8)
+    model.lm_head[...] = np.nan
+    path = tmp_path / "ckpt.npz"
+    m.save_checkpoint(path, model)
+    with pytest.raises(CheckpointError, match="finite"):
+        m.load_checkpoint(path)
