@@ -7,7 +7,3 @@ class ContractViolation(ValueError):
 
 class CheckpointError(RuntimeError):
     """A checkpoint file is missing, malformed, or from an incompatible version."""
-
-
-class UsageError(ValueError):
-    """Bad CLI arguments or config file contents (exit code 2)."""

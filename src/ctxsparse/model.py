@@ -4,6 +4,10 @@ Implements the three standard inference modes: one-pass prefill over the
 image+text prompt, decoding without a KV cache (full re-run each step), and
 decoding with a KV cache (single-token steps over stored activations). The
 two decode modes are numerically equivalent and tested against each other.
+One layer implementation, ``layer_forward``, serves every mode: prefill and
+no-cache decode run it over whole token sets, cached decode over one new
+row with the cache as ``past_kv``, and the batched paths and the image
+predictor's blocks over (B, N, d) inputs with broadcast masks.
 
 Positions are always the ORIGINAL positions assigned at embedding time, so
 removing tokens later never renumbers the survivors.
@@ -106,26 +110,6 @@ class Model:
 
 def make_model(config: ModelConfig, seed: int = 0) -> Model:
     return Model(config, np.random.default_rng(seed))
-
-
-def extend_positions(model: Model, new_max_len: int, seed: int = 0) -> Model:
-    """Grow the position table so the model can run past its trained range.
-
-    Appended rows are fresh init draws. Rows the optimizer never received
-    gradient for stay at init anyway, so this is equivalent to having
-    trained with the larger table from the start.
-    """
-    if new_max_len <= model.config.max_seq_len:
-        return model
-    cfg = model.config
-    grown_cfg = ModelConfig(**{**cfg.__dict__, "max_seq_len": new_max_len})
-    grown = make_model(grown_cfg, seed=seed)
-    for name, arr in model.parameters().items():
-        if name == "pos_emb":
-            grown.pos_emb[:cfg.max_seq_len] = arr
-        else:
-            grown.parameters()[name][...] = arr
-    return grown
 
 
 @dataclass
@@ -274,50 +258,65 @@ def _silu(x: np.ndarray) -> np.ndarray:
     return x * np.where(x >= 0, 1.0 / (1.0 + t), t / (1.0 + t))
 
 
-def _split_heads(x: np.ndarray, num_heads: int) -> np.ndarray:
-    n, d = x.shape
-    return x.reshape(n, num_heads, d // num_heads).transpose(1, 0, 2)
-
-
-def _merge_heads(x: np.ndarray) -> np.ndarray:
-    h, n, dh = x.shape
-    return x.transpose(1, 0, 2).reshape(n, h * dh)
-
-
 def causal_mask(n: int) -> np.ndarray:
     """Lower-triangular attention mask over an ordered token subset."""
     return np.tril(np.ones((n, n)))
 
 
+def layer_forward(layer: LayerWeights, x: np.ndarray, mask, num_heads: int,
+                  past_kv=None, meter=None):
+    """One pre-norm decoder layer: multi-head attention then FFN, both
+    residual. The one implementation behind every mode and path.
+
+    ``x`` is (..., n, d). Its rows attend to the cached rows ``past_kv =
+    (k, v)``, each (..., m, d), and then to themselves. ``mask`` broadcasts
+    to the (..., heads, n, m + n) scores (e.g. an (n, n) causal mask, a
+    (B, 1, n, n) padded one, or (B, 1, 1, m + n) key validity); ``None``
+    means every key is visible. Returns the output, shaped like ``x``, and
+    the rows' own (k, v) projections for the cache.
+    """
+    d = x.shape[-1]
+    dh = d // num_heads
+    normed = _rms_norm(x, layer.attn_norm_gain)
+    q = normed @ layer.w_q
+    k = normed @ layer.w_k
+    v = normed @ layer.w_v
+    keys, vals = k, v
+    if past_kv is not None:
+        keys = np.concatenate([past_kv[0], k], axis=-2)
+        vals = np.concatenate([past_kv[1], v], axis=-2)
+
+    def heads(t):
+        return t.reshape(*t.shape[:-1], num_heads, dh).swapaxes(-2, -3)
+
+    scores = (heads(q) @ heads(keys).swapaxes(-1, -2)) * dh ** -0.5
+    if mask is None:
+        probs = kernels.softmax_rows(scores)
+    else:
+        probs = kernels.masked_softmax(scores, mask)
+    ctx = (probs @ heads(vals)).swapaxes(-2, -3).reshape(x.shape)
+    attn_out = x + ctx @ layer.w_o
+    normed2 = _rms_norm(attn_out, layer.ffn_norm_gain)
+    out = attn_out + _silu(normed2 @ layer.ffn_in) @ layer.ffn_out
+    if meter is not None:
+        rows, n_keys, f = x.size // d, keys.shape[-2], layer.ffn_in.shape[1]
+        for shape in ((rows, d, d), (rows, d, d), (rows, d, d), (rows, d, d),
+                      (rows, d, f), (rows, f, d)):
+            meter.add_matmul(*shape)
+        meter.add_matmul(num_heads * rows, dh, n_keys)  # q @ k^T
+        meter.add_matmul(num_heads * rows, n_keys, dh)  # probs @ v
+    return out, k, v
+
+
 def decoder_layer_forward(layer: LayerWeights, tokens: np.ndarray,
                           attn_mask: np.ndarray, num_heads: int,
                           meter=None) -> np.ndarray:
-    """One pre-norm decoder layer: masked MHA then FFN, both residual.
+    """``layer_forward`` without a cache, returning the output only.
 
-    ``attn_mask`` is a binary (N, N) matrix, normally the causal mask,
-    possibly intersected with a sparsification mask. Output shape equals
-    input shape.
+    ``attn_mask`` is a binary mask broadcasting to the scores, normally the
+    (N, N) causal mask, possibly intersected with a sparsification mask.
     """
-    n, d = tokens.shape
-    dh = d // num_heads
-    normed = _rms_norm(tokens, layer.attn_norm_gain)
-    q = _split_heads(normed @ layer.w_q, num_heads)
-    k = _split_heads(normed @ layer.w_k, num_heads)
-    v = _split_heads(normed @ layer.w_v, num_heads)
-    scores = (q @ k.transpose(0, 2, 1)) * dh ** -0.5
-    probs = kernels.masked_softmax(scores, attn_mask)
-    ctx = _merge_heads(probs @ v)
-    attn_out = tokens + ctx @ layer.w_o
-    normed2 = _rms_norm(attn_out, layer.ffn_norm_gain)
-    ffn = _silu(normed2 @ layer.ffn_in) @ layer.ffn_out
-    if meter is not None:
-        for shape in ((n, d, d), (n, d, d), (n, d, d), (n, d, d),
-                      (n, d, layer.ffn_in.shape[1]),
-                      (n, layer.ffn_in.shape[1], d)):
-            meter.add_matmul(*shape)
-        meter.add_matmul(num_heads * n, dh, n)  # q @ k^T
-        meter.add_matmul(num_heads * n, n, dh)  # probs @ v
-    return attn_out + ffn
+    return layer_forward(layer, tokens, attn_mask, num_heads, meter=meter)[0]
 
 
 def _project_kv(layer: LayerWeights, tokens: np.ndarray, num_heads: int):
@@ -390,6 +389,11 @@ def prefill(model: Model, state: SequenceState, meter=None):
     mask = causal_mask(x.shape[0])
     positions = np.arange(x.shape[0])
     for li, layer in enumerate(model.layers):
+        # The rows are projected here and written before the layer runs,
+        # not taken from the (k, v) the layer returns: writing them after
+        # it raised the minor page faults of a 576+32-token prefill by
+        # half or more (glibc trims the freed score buffers, then faults
+        # them back in) and made it about 6% slower.
         k, v = _project_kv(layer, x, model.config.num_heads)
         cache.extend(li, k, v, positions)
         x = decoder_layer_forward(layer, x, mask, model.config.num_heads, meter)
@@ -408,24 +412,9 @@ def attend_cached(layer: LayerWeights, token: np.ndarray, cached_k: np.ndarray,
 
     Returns the layer output row and the token's (k, v) projections.
     """
-    d = token.shape[0]
-    dh = d // num_heads
-    normed = _rms_norm(token, layer.attn_norm_gain)
-    q = normed @ layer.w_q
-    k_self = normed @ layer.w_k
-    v_self = normed @ layer.w_v
-    keys = np.concatenate([cached_k, k_self[None, :]], axis=0)
-    vals = np.concatenate([cached_v, v_self[None, :]], axis=0)
-    qh = q.reshape(num_heads, dh)
-    kh = keys.reshape(-1, num_heads, dh).transpose(1, 0, 2)
-    vh = vals.reshape(-1, num_heads, dh).transpose(1, 0, 2)
-    scores = np.einsum("hd,hnd->hn", qh, kh) * dh ** -0.5
-    probs = kernels.softmax_rows(scores)
-    ctx = np.einsum("hn,hnd->hd", probs, vh).reshape(d)
-    attn_out = token + ctx @ layer.w_o
-    normed2 = _rms_norm(attn_out, layer.ffn_norm_gain)
-    out = attn_out + _silu(normed2 @ layer.ffn_in) @ layer.ffn_out
-    return out, k_self, v_self
+    out, k, v = layer_forward(layer, token[None], None, num_heads,
+                              past_kv=(cached_k, cached_v))
+    return out[0], k[0], v[0]
 
 
 def decode_step_with_cache(model: Model, cache: KVCacheStore,
@@ -445,9 +434,21 @@ def decode_step_with_cache(model: Model, cache: KVCacheStore,
     return _logits_at(model, x)
 
 
+def stop_reason(model: Model, token: int, position: int):
+    """Why generation ends right after emitting ``token``, whose input
+    position would be ``position``: ``"eos"``, ``"max_seq_len"`` when no
+    position is left for it, or None when the next step can run."""
+    if token == EOS_ID:
+        return "eos"
+    if position >= model.config.max_seq_len:
+        return "max_seq_len"
+    return None
+
+
 def greedy_generate(model: Model, state: SequenceState, max_new_tokens: int,
                     mode: str = "with_cache") -> list:
-    """Greedy decoding loop; stops at EOS or after max_new_tokens.
+    """Greedy decoding loop; stops at EOS, after max_new_tokens, or after
+    the token that has no position left below max_seq_len.
 
     ``mode`` selects the no-cache or cached path; both produce identical
     token lists for the same model and state.
@@ -466,7 +467,7 @@ def greedy_generate(model: Model, state: SequenceState, max_new_tokens: int,
         for _ in range(max_new_tokens):
             token = int(np.argmax(logits))
             generated.append(token)
-            if token == EOS_ID:
+            if stop_reason(model, token, position):
                 break
             vec = embed_output_token(model, token, position)
             logits = decode_step_with_cache(model, cache, vec, position)
@@ -476,7 +477,7 @@ def greedy_generate(model: Model, state: SequenceState, max_new_tokens: int,
         for _ in range(max_new_tokens):
             token = int(np.argmax(logits))
             generated.append(token)
-            if token == EOS_ID:
+            if stop_reason(model, token, work.total):
                 break
             append_output(model, work, token)
             logits = decode_step_no_cache(model, work)

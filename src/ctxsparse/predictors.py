@@ -2,8 +2,8 @@
 
 The image predictor sees all image tokens at once: a dimension-reducing
 input projection, two small pre-norm transformer blocks with bidirectional
-attention, and a three-layer decision MLP ending in 2 scores per token
-(column 0 = drop, column 1 = keep).
+attention (``model.layer_forward`` without a causal mask), and a three-layer
+decision MLP ending in 2 scores per token (column 0 = drop, column 1 = keep).
 
 The output predictor has the same projection and decision MLP but no
 attention blocks, so each token's decision depends only on its own feature
@@ -19,7 +19,7 @@ import numpy as np
 
 from . import kernels
 from .errors import ContractViolation
-from .model import _rms_norm, _silu
+from .model import LayerWeights, _silu, layer_forward
 
 
 @dataclass
@@ -61,16 +61,16 @@ class Predictors:
         self.image_proj_bias = np.zeros(h)
         self.image_blocks = []
         for _ in range(2):
-            self.image_blocks.append({
-                "w_q": rng.normal(0.0, h ** -0.5, (h, h)),
-                "w_k": rng.normal(0.0, h ** -0.5, (h, h)),
-                "w_v": rng.normal(0.0, h ** -0.5, (h, h)),
-                "w_o": rng.normal(0.0, h ** -0.5, (h, h)),
-                "ffn_in": rng.normal(0.0, h ** -0.5, (h, 2 * h)),
-                "ffn_out": rng.normal(0.0, (2 * h) ** -0.5, (2 * h, h)),
-                "attn_norm_gain": np.ones(h),
-                "ffn_norm_gain": np.ones(h),
-            })
+            self.image_blocks.append(LayerWeights(
+                w_q=rng.normal(0.0, h ** -0.5, (h, h)),
+                w_k=rng.normal(0.0, h ** -0.5, (h, h)),
+                w_v=rng.normal(0.0, h ** -0.5, (h, h)),
+                w_o=rng.normal(0.0, h ** -0.5, (h, h)),
+                ffn_in=rng.normal(0.0, h ** -0.5, (h, 2 * h)),
+                ffn_out=rng.normal(0.0, (2 * h) ** -0.5, (2 * h, h)),
+                attn_norm_gain=np.ones(h),
+                ffn_norm_gain=np.ones(h),
+            ))
         self.image_mlp_w, self.image_mlp_b = _mlp_weights(rng, config.mlp_dims)
         self.output_proj = rng.normal(0.0, d ** -0.5, (d, h))
         self.output_proj_bias = np.zeros(h)
@@ -86,7 +86,7 @@ class Predictors:
             "output.proj_bias": self.output_proj_bias,
         }
         for i, blk in enumerate(self.image_blocks):
-            for name, arr in blk.items():
+            for name, arr in vars(blk).items():
                 params[f"image.block{i}.{name}"] = arr
         for i, (w, b) in enumerate(zip(self.image_mlp_w, self.image_mlp_b)):
             params[f"image.mlp{i}.w"] = w
@@ -112,33 +112,6 @@ def _decision_mlp(x: np.ndarray, ws, bs) -> np.ndarray:
     return x
 
 
-def _predictor_block(blk: dict, x: np.ndarray, num_heads: int,
-                     valid: np.ndarray | None = None) -> np.ndarray:
-    """Pre-norm block with bidirectional attention over the given tokens.
-
-    ``valid`` optionally masks out padded key columns (batch mode); rows are
-    left unconstrained since pad-row outputs are discarded downstream.
-    """
-    h = x.shape[-1]
-    dh = h // num_heads
-    normed = _rms_norm(x, blk["attn_norm_gain"])
-    q = (normed @ blk["w_q"]).reshape(*x.shape[:-1], num_heads, dh)
-    k = (normed @ blk["w_k"]).reshape(*x.shape[:-1], num_heads, dh)
-    v = (normed @ blk["w_v"]).reshape(*x.shape[:-1], num_heads, dh)
-    q = np.moveaxis(q, -2, -3)
-    k = np.moveaxis(k, -2, -3)
-    v = np.moveaxis(v, -2, -3)
-    scores = (q @ np.swapaxes(k, -1, -2)) * dh ** -0.5
-    if valid is None:
-        probs = kernels.softmax_rows(scores)
-    else:
-        probs = kernels.masked_softmax(scores, valid[..., None, None, :])
-    ctx = np.moveaxis(probs @ v, -3, -2).reshape(x.shape)
-    x = x + ctx @ blk["w_o"]
-    normed2 = _rms_norm(x, blk["ffn_norm_gain"])
-    return x + _silu(normed2 @ blk["ffn_in"]) @ blk["ffn_out"]
-
-
 def image_decisions(p: Predictors, image_hidden: np.ndarray) -> np.ndarray:
     """Keep/drop scores for image tokens from their sparsify-layer features.
 
@@ -150,18 +123,23 @@ def image_decisions(p: Predictors, image_hidden: np.ndarray) -> np.ndarray:
         return np.zeros((0, 2))
     x = image_hidden @ p.image_proj + p.image_proj_bias
     for blk in p.image_blocks:
-        x = _predictor_block(blk, x, p.config.num_heads)
+        x = layer_forward(blk, x, None, p.config.num_heads)[0]
     return _decision_mlp(x, p.image_mlp_w, p.image_mlp_b)
 
 
 def image_decisions_batched(p: Predictors, image_hidden: np.ndarray,
                             valid: np.ndarray) -> np.ndarray:
-    """Batched, left-padded variant; pad slots never receive attention."""
+    """Batched, left-padded variant; pad slots never receive attention.
+
+    Pad rows are left unconstrained since their outputs are discarded
+    downstream; every lane needs at least one valid slot.
+    """
     if image_hidden.shape[1] == 0:
         return np.zeros(image_hidden.shape[:2] + (2,))
     x = image_hidden @ p.image_proj + p.image_proj_bias
+    mask = valid[:, None, None, :]
     for blk in p.image_blocks:
-        x = _predictor_block(blk, x, p.config.num_heads, valid=valid)
+        x = layer_forward(blk, x, mask, p.config.num_heads)[0]
     return _decision_mlp(x, p.image_mlp_w, p.image_mlp_b)
 
 

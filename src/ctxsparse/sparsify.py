@@ -10,6 +10,10 @@ made once per token and shared by all deeper layers; a dropped or
 non-admitted token never reappears beyond layer l at any later step. The
 newest token always takes part in its own step's attention regardless of
 whether it is admitted for future steps.
+
+Every mode and path runs its layers through ``model.layer_forward``: the
+single-sample paths over (N, d) token sets or one cached row, the batched
+paths over left-padded (B, N, d) sets with per-lane masks.
 """
 
 from __future__ import annotations
@@ -18,22 +22,21 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import kernels
 from .errors import ContractViolation
 from .model import (
-    EOS_ID,
     KVCacheStore,
     Model,
     SequenceState,
     _logits_at,
     _project_kv,
     _rms_norm,
-    _silu,
     append_output,
     attend_cached,
     causal_mask,
     decoder_layer_forward,
     embed_output_token,
+    layer_forward,
+    stop_reason,
 )
 from .predictors import (
     Predictors,
@@ -92,6 +95,7 @@ class GenerationTrace:
     n_image: int = 0
     n_text: int = 0
     admissions: list = field(default_factory=list)
+    stop_reason: str = "max_new_tokens"  # or "eos", "max_seq_len"
 
     def to_dict(self) -> dict:
         return {
@@ -105,6 +109,7 @@ class GenerationTrace:
                 {"position": r.position, "admitted": bool(r.admitted), "step": r.step}
                 for r in self.admissions
             ],
+            "stop_reason": self.stop_reason,
         }
 
 
@@ -210,6 +215,8 @@ def sparse_prefill(model: Model, predictors: Predictors, state: SequenceState,
     cache = KVCacheStore(model.config.num_layers)
     x = state.prefill_tokens()
     mask = causal_mask(x.shape[0])
+    # Cache rows are projected before each layer runs, as in model.prefill
+    # (which gives the measured reason).
     for li in range(split):
         k, v = _project_kv(model.layers[li], x, heads)
         cache.extend(li, k, v, np.arange(x.shape[0]))
@@ -305,7 +312,9 @@ def sparse_greedy_generate(model: Model, predictors: Predictors,
 
     Both modes produce identical token sequences for the same weights; the
     no-cache trace reports the per-token keep decisions the cached mode
-    records as admissions.
+    records as admissions. Generation stops at EOS, after max_new_tokens,
+    or after the token that has no position left below max_seq_len; the
+    trace's ``stop_reason`` says which.
     """
     if mode not in ("no_cache", "with_cache"):
         raise ContractViolation(f"unknown mode {mode!r}")
@@ -321,7 +330,9 @@ def sparse_greedy_generate(model: Model, predictors: Predictors,
         for _ in range(max_new_tokens):
             token = int(np.argmax(logits))
             trace.token_ids.append(token)
-            if token == EOS_ID:
+            reason = stop_reason(model, token, position)
+            if reason:
+                trace.stop_reason = reason
                 break
             vec = embed_output_token(model, token, position)
             logits, _ = sparse_decode_with_cache(
@@ -334,7 +345,9 @@ def sparse_greedy_generate(model: Model, predictors: Predictors,
     for _ in range(max_new_tokens):
         token = int(np.argmax(logits))
         trace.token_ids.append(token)
-        if token == EOS_ID:
+        reason = stop_reason(model, token, work.total)
+        if reason:
+            trace.stop_reason = reason
             break
         append_output(model, work, token)
         logits, keep, out_flags = sparse_decode_no_cache(
@@ -382,24 +395,6 @@ class PaddedBatch:
         return len(self.states)
 
 
-def _batched_layer_forward(layer, x: np.ndarray, mask: np.ndarray,
-                           num_heads: int) -> np.ndarray:
-    """Batched twin of ``decoder_layer_forward`` over (B, N, d) tokens with a
-    per-sample (B, N, N) binary attention mask."""
-    bsz, n, d = x.shape
-    dh = d // num_heads
-    normed = _rms_norm(x, layer.attn_norm_gain)
-    def heads(mat):
-        return mat.reshape(bsz, n, num_heads, dh).transpose(0, 2, 1, 3)
-    q, k, v = heads(normed @ layer.w_q), heads(normed @ layer.w_k), heads(normed @ layer.w_v)
-    scores = (q @ k.transpose(0, 1, 3, 2)) * dh ** -0.5
-    probs = kernels.masked_softmax(scores, mask[:, None])
-    ctx = (probs @ v).transpose(0, 2, 1, 3).reshape(bsz, n, d)
-    x = x + ctx @ layer.w_o
-    normed2 = _rms_norm(x, layer.ffn_norm_gain)
-    return x + _silu(normed2 @ layer.ffn_in) @ layer.ffn_out
-
-
 def _padded_causal_mask(valid: np.ndarray) -> np.ndarray:
     """Causal mask over left-padded rows: no attention into pad slots, and
     pad rows self-attend so every row keeps one live entry."""
@@ -416,29 +411,24 @@ def _batch_keep_sets(predictors, x_l, batch, row_counts, cfg):
 
     ``row_counts[b]`` is the number of real (unpadded) rows sample b holds
     in ``x_l``. The learned top-k path batches the predictor over a padded
-    image tensor; other configurations fall back to the per-sample
-    selection rule on the same features.
+    image tensor of the lanes that have image tokens (a lane without any
+    keeps none, as in ``sparse_prefill``); other configurations fall back
+    to the per-sample selection rule on the same features.
     """
     max_rows = x_l.shape[1]
     img_rows = [x_l[b, max_rows - row_counts[b]:
                     max_rows - row_counts[b] + st.n_image]
                 for b, st in enumerate(batch.states)]
-    keep_sets = []
-    use_batched_topk = (cfg.policy == "learned" and cfg.selection_mode == "topk"
-                        and cfg.image_keep_rate < 1.0
-                        and any(r.shape[0] for r in img_rows))
-    if use_batched_topk:
-        img_padded, img_valid = left_pad(img_rows)
-        decisions = image_decisions_batched(predictors, img_padded, img_valid)
-        for b, st in enumerate(batch.states):
-            if st.n_image == 0:
-                keep_sets.append(np.arange(0))
-                continue
-            rows = decisions[b, img_padded.shape[1] - st.n_image:]
-            keep_sets.append(select_topk_keep(rows, cfg.image_keep_rate))
-    else:
-        for b, st in enumerate(batch.states):
-            keep_sets.append(select_image_keep(predictors, img_rows[b], cfg))
+    image_lanes = [b for b, r in enumerate(img_rows) if r.shape[0]]
+    if not (cfg.policy == "learned" and cfg.selection_mode == "topk"
+            and cfg.image_keep_rate < 1.0 and image_lanes):
+        return [select_image_keep(predictors, rows, cfg) for rows in img_rows]
+    img_padded, img_valid = left_pad([img_rows[b] for b in image_lanes])
+    decisions = image_decisions_batched(predictors, img_padded, img_valid)
+    keep_sets = [np.arange(0)] * batch.size
+    for i, b in enumerate(image_lanes):
+        rows = decisions[i, img_padded.shape[1] - img_rows[b].shape[0]:]
+        keep_sets[b] = select_topk_keep(rows, cfg.image_keep_rate)
     return keep_sets
 
 
@@ -457,12 +447,12 @@ def batch_sparse_prefill(model: Model, predictors: Predictors,
     caches = [KVCacheStore(model.config.num_layers) for _ in batch.states] \
         if build_caches else None
     x, valid = left_pad([st.prefill_tokens() for st in batch.states])
-    mask = _padded_causal_mask(valid)
+    mask = _padded_causal_mask(valid)[:, None]
     for li in range(split):
+        x, k, v = layer_forward(model.layers[li], x, mask, heads)
         if build_caches:
-            _cache_batched(model.layers[li], x, valid, caches, li,
+            _cache_batched(caches, li, k, v, valid,
                            [np.arange(st.n_prefill) for st in batch.states])
-        x = _batched_layer_forward(model.layers[li], x, mask, heads)
     keep_sets = _batch_keep_sets(predictors, x, batch,
                                  [st.n_prefill for st in batch.states], cfg)
     survivor_rows, survivor_pos = [], []
@@ -474,20 +464,19 @@ def batch_sparse_prefill(model: Model, predictors: Predictors,
         survivor_rows.append(x[b, offset + pos])
         survivor_pos.append(pos)
     x, valid = left_pad(survivor_rows)
-    mask = _padded_causal_mask(valid)
+    mask = _padded_causal_mask(valid)[:, None]
     for li in range(split, model.config.num_layers):
+        x, k, v = layer_forward(model.layers[li], x, mask, heads)
         if build_caches:
-            _cache_batched(model.layers[li], x, valid, caches, li, survivor_pos)
-        x = _batched_layer_forward(model.layers[li], x, mask, heads)
+            _cache_batched(caches, li, k, v, valid, survivor_pos)
     logits = _rms_norm(x[:, -1], model.final_norm_gain) @ model.lm_head
     if build_caches:
         return logits, keep_sets, caches
     return logits, keep_sets
 
 
-def _cache_batched(layer, x, valid, caches, layer_idx, positions_per_sample):
-    k = _rms_norm(x, layer.attn_norm_gain) @ layer.w_k
-    v = _rms_norm(x, layer.attn_norm_gain) @ layer.w_v
+def _cache_batched(caches, layer_idx, k, v, valid, positions_per_sample):
+    """Write each lane's unpadded (B, N, d) ``k``, ``v`` rows to its cache."""
     for b, positions in enumerate(positions_per_sample):
         rows = np.flatnonzero(valid[b])
         caches[b].extend(layer_idx, k[b, rows], v[b, rows], positions)
@@ -518,9 +507,9 @@ def _batch_decode_no_cache(model, predictors, batch, cfg):
         if st.n_output < 1:
             raise ContractViolation("batch decode: every sample needs output tokens")
     x, valid = left_pad([st.all_tokens() for st in batch.states])
-    mask = _padded_causal_mask(valid)
+    mask = _padded_causal_mask(valid)[:, None]
     for li in range(split):
-        x = _batched_layer_forward(model.layers[li], x, mask, heads)
+        x = decoder_layer_forward(model.layers[li], x, mask, heads)
     keep_sets = _batch_keep_sets(predictors, x, batch,
                                  [st.total for st in batch.states], cfg)
     survivor_rows = []
@@ -538,9 +527,9 @@ def _batch_decode_no_cache(model, predictors, batch, cfg):
         ]).astype(int)
         survivor_rows.append(x[b, offset + pos])
     x, valid = left_pad(survivor_rows)
-    mask = _padded_causal_mask(valid)
+    mask = _padded_causal_mask(valid)[:, None]
     for li in range(split, model.config.num_layers):
-        x = _batched_layer_forward(model.layers[li], x, mask, heads)
+        x = decoder_layer_forward(model.layers[li], x, mask, heads)
     return _rms_norm(x[:, -1], model.final_norm_gain) @ model.lm_head
 
 
@@ -556,39 +545,21 @@ def _batch_decode_with_cache(model, predictors, batch, cfg):
                for st in batch.states]
     logits, _, caches = batch_sparse_prefill(
         model, predictors, PaddedBatch(prompts), cfg, build_caches=True)
-    d = model.config.hidden_dim
-    dh = d // heads
     for t in range(steps):
-        x = np.stack([st.output[t] for st in batch.states])
+        x = np.stack([st.output[t] for st in batch.states])[:, None]
         positions = [st.n_prefill + t for st in batch.states]
         for li, layer in enumerate(model.layers):
             if li == split:
-                admit = [_admit_current(predictors, x[b], cfg, t)
+                admit = [_admit_current(predictors, x[b, 0], cfg, t)
                          for b in range(batch.size)]
-            normed = _rms_norm(x, layer.attn_norm_gain)
-            q = normed @ layer.w_q
-            k_self = normed @ layer.w_k
-            v_self = normed @ layer.w_v
-            padded_k, kvalid = left_pad([caches[b].stacked(li)[0]
-                                         for b in range(batch.size)])
-            padded_v, _ = left_pad([caches[b].stacked(li)[1]
-                                    for b in range(batch.size)])
-            keys = np.concatenate([padded_k, k_self[:, None, :]], axis=1)
-            vals = np.concatenate([padded_v, v_self[:, None, :]], axis=1)
+            past_k, kvalid = left_pad([c.stacked(li)[0] for c in caches])
+            past_v, _ = left_pad([c.stacked(li)[1] for c in caches])
             kvalid = np.concatenate([kvalid, np.ones((batch.size, 1), dtype=bool)],
                                     axis=1)
-            n_keys = keys.shape[1]
-            qh = q.reshape(batch.size, heads, dh)
-            kh = keys.reshape(batch.size, n_keys, heads, dh).transpose(0, 2, 1, 3)
-            vh = vals.reshape(batch.size, n_keys, heads, dh).transpose(0, 2, 1, 3)
-            scores = np.einsum("bhd,bhnd->bhn", qh, kh) * dh ** -0.5
-            probs = kernels.masked_softmax(scores, kvalid[:, None, :])
-            ctx = np.einsum("bhn,bhnd->bhd", probs, vh).reshape(batch.size, d)
-            attn_out = x + ctx @ layer.w_o
-            normed2 = _rms_norm(attn_out, layer.ffn_norm_gain)
-            x = attn_out + _silu(normed2 @ layer.ffn_in) @ layer.ffn_out
+            x, k, v = layer_forward(layer, x, kvalid[:, None, None, :], heads,
+                                    past_kv=(past_k, past_v))
             for b in range(batch.size):
                 if li < split or admit[b]:
-                    caches[b].append(li, k_self[b], v_self[b], positions[b])
-        logits = _rms_norm(x, model.final_norm_gain) @ model.lm_head
+                    caches[b].append(li, k[b, 0], v[b, 0], positions[b])
+        logits = _rms_norm(x[:, 0], model.final_norm_gain) @ model.lm_head
     return logits

@@ -117,40 +117,14 @@ def ste_mask(d_relaxed: ad.Tensor) -> ad.Tensor:
     return ad.ste_hard_decision(d_relaxed)[..., 1]
 
 
-def build_training_mask(m_image, n_text: int, m_output) -> np.ndarray:
-    """Full-sequence mask matrix: the token keep flags broadcast over columns,
-    intersected with the causal mask, with the diagonal forced to 1."""
-    m_image = np.asarray(m_image, dtype=np.float64).reshape(-1)
-    m_output = np.asarray(m_output, dtype=np.float64).reshape(-1)
-    if n_text < 0:
-        raise ContractViolation("n_text must be >= 0")
-    flags = np.concatenate([m_image, np.ones(n_text), m_output])
-    n = flags.shape[0]
-    g = causal_mask(n) * flags[None, :]
-    np.fill_diagonal(g, 1.0)
-    return g
-
-
 def _mask_matrix_t(flags: ad.Tensor, n: int) -> ad.Tensor:
-    """Differentiable (B, N, N) version of ``build_training_mask``."""
+    """Differentiable (B, N, N) training mask: the (B, N) token keep flags
+    broadcast over columns, intersected with the causal mask, with the
+    diagonal forced to 1 so masked-out tokens still self-attend."""
     tri = ad.constant(causal_mask(n))
     eye = np.eye(n)
     g = flags.reshape(flags.shape[0], 1, n) * tri
     return g * ad.constant(1.0 - eye) + ad.constant(eye)
-
-
-def keep_rate_regularizer(m_image, m_output, rate_image: float,
-                          rate_output: float, min_output_len: int) -> float:
-    """|keep fraction - target| for image tokens, plus the same for output
-    tokens when the sequence is long enough. Empty image sets contribute 0."""
-    m_image = np.asarray(m_image, dtype=np.float64).reshape(-1)
-    m_output = np.asarray(m_output, dtype=np.float64).reshape(-1)
-    value = 0.0
-    if m_image.size:
-        value += abs(m_image.mean() - rate_image)
-    if m_output.size >= min_output_len and m_output.size:
-        value += abs(m_output.mean() - rate_output)
-    return value
 
 
 # -- differentiable forward ------------------------------------------------------

@@ -89,6 +89,60 @@ def test_layer_forward_diagonal_mask_isolates_tokens():
         assert np.abs(full[i] - solo[0]).max() <= 1e-12
 
 
+def test_layer_forward_padded_batch_matches_per_sample():
+    from ctxsparse.sparsify import _padded_causal_mask, left_pad
+    model = toy_model(4)
+    rng = np.random.default_rng(10)
+    rows = [rng.normal(size=(n, 64)) for n in (7, 3, 5)]
+    x, valid = left_pad(rows)
+    out, k, v = m.layer_forward(model.layers[2], x, _padded_causal_mask(valid)[:, None], 4)
+    assert out.shape == k.shape == v.shape == x.shape
+    for b, r in enumerate(rows):
+        solo, k_solo, v_solo = m.layer_forward(model.layers[2], r, m.causal_mask(len(r)), 4)
+        assert np.abs(out[b, valid[b]] - solo).max() <= 1e-12
+        assert np.abs(k[b, valid[b]] - k_solo).max() <= 1e-12
+        assert np.abs(v[b, valid[b]] - v_solo).max() <= 1e-12
+
+
+def test_layer_forward_past_kv_matches_full_causal_rows():
+    model = toy_model(5)
+    layer = model.layers[1]
+    x = np.random.default_rng(11).normal(size=(9, 64))
+    full = m.decoder_layer_forward(layer, x, m.causal_mask(9), 4)
+    past = m._project_kv(layer, x[:-1], 4)
+    last, _, _ = m.layer_forward(layer, x[-1:], None, 4, past_kv=past)
+    assert np.abs(last[0] - full[-1]).max() <= 1e-12
+    # a block of new rows takes the causal mask's last rows over past + self
+    past = m._project_kv(layer, x[:6], 4)
+    block, _, _ = m.layer_forward(layer, x[6:], m.causal_mask(9)[6:], 4, past_kv=past)
+    assert np.abs(block - full[6:]).max() <= 1e-12
+
+
+def test_layer_forward_returns_the_cache_projections():
+    model = toy_model(6)
+    x = np.random.default_rng(12).normal(size=(8, 64))
+    for layer in model.layers:
+        _, k, v = m.layer_forward(layer, x, m.causal_mask(8), 4)
+        k_ref, v_ref = m._project_kv(layer, x, 4)
+        assert np.array_equal(k, k_ref) and np.array_equal(v, v_ref)
+
+
+def test_predictor_blocks_are_live_layer_weights():
+    from ctxsparse.predictors import image_decisions
+    preds = make_predictors(PredictorConfig(input_dim=64), seed=3)
+    assert all(isinstance(blk, m.LayerWeights) for blk in preds.image_blocks)
+    names = list(preds.parameters())
+    fields = ["w_q", "w_k", "w_v", "w_o", "ffn_in", "ffn_out",
+              "attn_norm_gain", "ffn_norm_gain"]
+    blocks = [f"image.block{i}.{f}" for i in range(2) for f in fields]
+    assert names[4:4 + len(blocks)] == blocks
+    tokens = np.random.default_rng(13).normal(size=(6, 64))
+    before = image_decisions(preds, tokens)
+    preds.parameters()["image.block1.w_v"] *= 2.0
+    assert preds.parameters()["image.block1.w_v"] is preds.image_blocks[1].w_v
+    assert not np.array_equal(before, image_decisions(preds, tokens))
+
+
 def test_prefill_populates_cache_and_normalizes():
     model = toy_model()
     state = toy_state(model)
@@ -165,6 +219,18 @@ def test_greedy_generate_eos_stops():
     model.lm_head[...] = 0.0
     out = m.greedy_generate(model, toy_state(model, 11), 8)
     assert out == [m.EOS_ID]
+
+
+def test_greedy_generate_stops_at_max_seq_len():
+    model = toy_model(12)
+    state = toy_state(model, 12, n_image=100, n_text=3)
+    cached = m.greedy_generate(model, state, 40, mode="with_cache")
+    uncached = m.greedy_generate(model, state, 40, mode="no_cache")
+    # tokens for input positions 103..128; the last one has no position left
+    assert cached == uncached and len(cached) == TOY.max_seq_len - 103 + 1
+    assert m.EOS_ID not in cached
+    with pytest.raises(ContractViolation):
+        m.embed_output_token(model, cached[-1], TOY.max_seq_len)
 
 
 def test_greedy_mode_equivalence_over_models():

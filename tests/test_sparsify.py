@@ -319,3 +319,56 @@ def test_batch_decode_with_cache_parity():
                 model, preds, cache, admissions, st.output[t],
                 st.n_prefill + t, cfg)
         assert np.abs(got[b] - logits).max() <= 1e-9
+
+
+def test_batch_with_text_only_lane_matches_single():
+    model, preds, _ = setup(19)
+    states = batch_of_states(model, [11, 12], [10, 0], [3, 3])
+    cfg = scfg()
+    logits, keep_sets = sp.batch_sparse_prefill(
+        model, preds, sp.PaddedBatch([s.copy() for s in states]), cfg)
+    for b, st in enumerate(states):
+        ref, _, ref_keep = sp.sparse_prefill(model, preds, st, cfg)
+        assert np.abs(logits[b] - ref).max() <= 1e-9
+        assert keep_sets[b].tolist() == ref_keep.tolist()
+    assert keep_sets[1].tolist() == []
+    for st in states:
+        for tok in (5, 17, 29):
+            m.append_output(model, st, tok)
+    no_cache = sp.batch_sparse_decode(model, preds, sp.PaddedBatch(states), cfg,
+                                      mode="no_cache")
+    with_cache = sp.batch_sparse_decode(model, preds, sp.PaddedBatch(states), cfg,
+                                        mode="with_cache")
+    for b, st in enumerate(states):
+        ref, ref_keep, _ = sp.sparse_decode_no_cache(model, preds, st, cfg,
+                                                     return_decisions=True)
+        assert ref_keep.tolist() == keep_sets[b].tolist()
+        assert np.abs(no_cache[b] - ref).max() <= 1e-9
+        prompt = m.SequenceState(st.image, st.text, np.zeros((0, 64)))
+        ref, cache, _ = sp.sparse_prefill(model, preds, prompt, cfg)
+        admissions = []
+        for t in range(st.n_output):
+            ref, _ = sp.sparse_decode_with_cache(model, preds, cache, admissions,
+                                                 st.output[t], st.n_prefill + t, cfg)
+        assert np.abs(with_cache[b] - ref).max() <= 1e-9
+
+
+def test_generation_stop_reasons():
+    cfg_model = m.ModelConfig(num_layers=4, hidden_dim=64, num_heads=4, ffn_dim=128,
+                              vocab_size=96, max_seq_len=128, image_feature_dim=32)
+    model = m.make_model(cfg_model, seed=20)
+    preds = make_predictors(PredictorConfig(input_dim=64), seed=21)
+    rng = np.random.default_rng(22)
+    state = m.embed_inputs(model, rng.normal(size=(100, 32)),
+                           rng.integers(1, 96, size=3))
+    cfg = scfg()
+    traces = [sp.sparse_greedy_generate(model, preds, state, cfg, 40, mode=mode)
+              for mode in ("no_cache", "with_cache")]
+    # tokens for input positions 103..128; the last one has no position left
+    assert traces[0].token_ids == traces[1].token_ids
+    assert len(traces[0].token_ids) == 128 - 103 + 1
+    assert [t.to_dict()["stop_reason"] for t in traces] == ["max_seq_len"] * 2
+    assert sp.sparse_greedy_generate(model, preds, state, cfg, 5).stop_reason \
+        == "max_new_tokens"
+    model.lm_head[...] = 0.0  # all-zero logits: argmax tie -> EOS
+    assert sp.sparse_greedy_generate(model, preds, state, cfg, 5).stop_reason == "eos"
