@@ -7,7 +7,9 @@ two decode modes are numerically equivalent and tested against each other.
 One layer implementation, ``layer_forward``, serves every mode: prefill and
 no-cache decode run it over whole token sets, cached decode over one new
 row with the cache as ``past_kv``, and the batched paths and the image
-predictor's blocks over (B, N, d) inputs with broadcast masks.
+predictor's blocks over (B, N, d) inputs with broadcast masks. It runs
+in blocks of query rows and skips the key columns the mask hides from a
+whole block, such as the upper triangle of a causal mask.
 
 Positions are always the ORIGINAL positions assigned at embedding time, so
 removing tokens later never renumbers the survivors.
@@ -27,6 +29,12 @@ from .errors import CheckpointError, ContractViolation
 EOS_ID = 0  # reserved vocabulary id that terminates generation
 CHECKPOINT_VERSION = 1
 NORM_EPS = 1e-6
+# Query rows per block in layer_forward. A (4 heads x 64 rows x ~608 keys)
+# float64 score block is about 1.2 MB, which fits a 2 MB per-core L2 cache.
+# Median sparse_prefill of 576 + 32 tokens (default config, one BLAS
+# thread, 2-core Xeon VM) by block size: 32 -> 69 ms, 64 -> 65 ms,
+# 128 -> 68 ms, 256 -> 73 ms, one unblocked block -> 124 ms.
+_QUERY_BLOCK = 64
 
 
 @dataclass
@@ -263,6 +271,42 @@ def causal_mask(n: int) -> np.ndarray:
     return np.tril(np.ones((n, n)))
 
 
+def _query_blocks(mask, n: int, n_keys: int):
+    """Yield ``(rows, kmax, block_mask)`` for each block of at most
+    ``_QUERY_BLOCK`` query rows: the row slice, how many leading keys any
+    row of the block can see, and ``mask`` cut to those rows and keys.
+
+    ``kmax`` is one past the last key column the mask leaves visible to any
+    row of the block in any head or lane; it is 0 when no row sees a key,
+    so the softmax still rejects the empty rows. With ``n <= _QUERY_BLOCK``
+    there is one block over all keys and the mask is not read; the same
+    holds for a mask whose last two axes do not broadcast to (n, n_keys),
+    which the softmax then rejects.
+    """
+    if n <= _QUERY_BLOCK:
+        yield slice(0, n), n_keys, mask
+        return
+    ends = np.full(n, n_keys)
+    if mask is not None:
+        mask = np.asarray(mask)
+        mask_rows, mask_cols = ((1, 1) + mask.shape)[-2:]
+        if mask.ndim == 0 or mask_rows not in (1, n) or mask_cols not in (1, n_keys):
+            yield slice(0, n), n_keys, mask
+            return
+        vis = (mask != 0).reshape(-1, mask_rows, mask_cols).any(axis=0)
+        last = np.argmax(vis[:, ::-1], axis=-1)
+        ends[:] = np.where(vis.any(axis=-1), n_keys - last, 0)
+    for r0 in range(0, n, _QUERY_BLOCK):
+        rows = slice(r0, min(r0 + _QUERY_BLOCK, n))
+        kmax = int(ends[rows].max())
+        if mask is None:
+            yield rows, kmax, None
+        elif mask_rows == n:
+            yield rows, kmax, mask[..., rows, :kmax]
+        else:
+            yield rows, kmax, mask[..., :kmax]
+
+
 def layer_forward(layer: LayerWeights, x: np.ndarray, mask, num_heads: int,
                   past_kv=None, meter=None):
     """One pre-norm decoder layer: multi-head attention then FFN, both
@@ -274,6 +318,17 @@ def layer_forward(layer: LayerWeights, x: np.ndarray, mask, num_heads: int,
     (B, 1, n, n) padded one, or (B, 1, 1, m + n) key validity); ``None``
     means every key is visible. Returns the output, shaped like ``x``, and
     the rows' own (k, v) projections for the cache.
+
+    After the q/k/v projections the rows run in blocks of ``_QUERY_BLOCK``
+    (attention, output projection and FFN), so no temporary grows past a
+    block. Each block computes scores, softmax and ``probs @ v`` only over
+    the leading keys that the mask leaves visible to some row of the
+    block: a causal mask never has its upper triangle computed, and the
+    columns cut off are exactly those whose probability would be 0. With
+    ``n <= _QUERY_BLOCK`` (every cached decode step) there is one block
+    over all keys and the mask is not read. ``meter`` still counts q @ k^T
+    and probs @ v over the full key range, as the benchmark's analytic
+    FLOP counts (``perfbench/costs.py``) do.
     """
     d = x.shape[-1]
     dh = d // num_heads
@@ -289,15 +344,20 @@ def layer_forward(layer: LayerWeights, x: np.ndarray, mask, num_heads: int,
     def heads(t):
         return t.reshape(*t.shape[:-1], num_heads, dh).swapaxes(-2, -3)
 
-    scores = (heads(q) @ heads(keys).swapaxes(-1, -2)) * dh ** -0.5
-    if mask is None:
-        probs = kernels.softmax_rows(scores)
-    else:
-        probs = kernels.masked_softmax(scores, mask)
-    ctx = (probs @ heads(vals)).swapaxes(-2, -3).reshape(x.shape)
-    attn_out = x + ctx @ layer.w_o
-    normed2 = _rms_norm(attn_out, layer.ffn_norm_gain)
-    out = attn_out + _silu(normed2 @ layer.ffn_in) @ layer.ffn_out
+    q_h, k_h, v_h = heads(q), heads(keys), heads(vals)
+    blocks = []
+    for rows, kmax, block_mask in _query_blocks(mask, x.shape[-2], keys.shape[-2]):
+        scores = (q_h[..., rows, :] @ k_h[..., :kmax, :].swapaxes(-1, -2)) * dh ** -0.5
+        if block_mask is None:
+            probs = kernels.softmax_rows(scores)
+        else:
+            probs = kernels.masked_softmax(scores, block_mask)
+        x_rows = x[..., rows, :]
+        ctx = (probs @ v_h[..., :kmax, :]).swapaxes(-2, -3).reshape(x_rows.shape)
+        attn_out = x_rows + ctx @ layer.w_o
+        normed2 = _rms_norm(attn_out, layer.ffn_norm_gain)
+        blocks.append(attn_out + _silu(normed2 @ layer.ffn_in) @ layer.ffn_out)
+    out = blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=-2)
     if meter is not None:
         rows, n_keys, f = x.size // d, keys.shape[-2], layer.ffn_in.shape[1]
         for shape in ((rows, d, d), (rows, d, d), (rows, d, d), (rows, d, d),
@@ -353,8 +413,12 @@ def embed_inputs(model: Model, image_features, text_ids) -> SequenceState:
 
 
 def embed_output_token(model: Model, token_id: int, position: int) -> np.ndarray:
-    if position >= model.config.max_seq_len:
-        raise ContractViolation("position exceeds max_seq_len")
+    """Embedding of one generated token at its original position."""
+    if not 0 <= token_id < model.config.vocab_size:
+        raise ContractViolation(f"token id {token_id} out of vocabulary range")
+    if not 0 <= position < model.config.max_seq_len:
+        raise ContractViolation(
+            f"position {position} outside [0, max_seq_len {model.config.max_seq_len})")
     return model.token_emb[token_id] + model.pos_emb[position]
 
 
@@ -389,14 +453,8 @@ def prefill(model: Model, state: SequenceState, meter=None):
     mask = causal_mask(x.shape[0])
     positions = np.arange(x.shape[0])
     for li, layer in enumerate(model.layers):
-        # The rows are projected here and written before the layer runs,
-        # not taken from the (k, v) the layer returns: writing them after
-        # it raised the minor page faults of a 576+32-token prefill by
-        # half or more (glibc trims the freed score buffers, then faults
-        # them back in) and made it about 6% slower.
-        k, v = _project_kv(layer, x, model.config.num_heads)
+        x, k, v = layer_forward(layer, x, mask, model.config.num_heads, meter=meter)
         cache.extend(li, k, v, positions)
-        x = decoder_layer_forward(layer, x, mask, model.config.num_heads, meter)
     return _logits_at(model, x[-1]), cache
 
 

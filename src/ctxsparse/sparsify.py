@@ -28,7 +28,6 @@ from .model import (
     Model,
     SequenceState,
     _logits_at,
-    _project_kv,
     _rms_norm,
     append_output,
     attend_cached,
@@ -88,7 +87,9 @@ class AdmissionRecord:
 
 @dataclass
 class GenerationTrace:
-    """Structured per-run record consumed by the cost ledger and the CLI."""
+    """Structured record of one generation run: tokens, image keep set,
+    per-token admissions and stop reason; ``to_dict`` gives a
+    schema-versioned JSON-ready form."""
     mode: str
     token_ids: list = field(default_factory=list)
     image_keep: list = field(default_factory=list)
@@ -215,12 +216,9 @@ def sparse_prefill(model: Model, predictors: Predictors, state: SequenceState,
     cache = KVCacheStore(model.config.num_layers)
     x = state.prefill_tokens()
     mask = causal_mask(x.shape[0])
-    # Cache rows are projected before each layer runs, as in model.prefill
-    # (which gives the measured reason).
     for li in range(split):
-        k, v = _project_kv(model.layers[li], x, heads)
+        x, k, v = layer_forward(model.layers[li], x, mask, heads, meter=meter)
         cache.extend(li, k, v, np.arange(x.shape[0]))
-        x = decoder_layer_forward(model.layers[li], x, mask, heads, meter)
     keep = select_image_keep(predictors, x[:state.n_image], cfg)
     if state.n_prefill > 0 and keep.size + state.n_text == 0:
         raise ContractViolation("sparse_prefill kept no tokens")
@@ -228,9 +226,8 @@ def sparse_prefill(model: Model, predictors: Predictors, state: SequenceState,
     x = x[positions]
     mask = causal_mask(x.shape[0])
     for li in range(split, model.config.num_layers):
-        k, v = _project_kv(model.layers[li], x, heads)
+        x, k, v = layer_forward(model.layers[li], x, mask, heads, meter=meter)
         cache.extend(li, k, v, positions)
-        x = decoder_layer_forward(model.layers[li], x, mask, heads, meter)
     return _logits_at(model, x[-1]), cache, keep
 
 
@@ -318,6 +315,8 @@ def sparse_greedy_generate(model: Model, predictors: Predictors,
     """
     if mode not in ("no_cache", "with_cache"):
         raise ContractViolation(f"unknown mode {mode!r}")
+    if max_new_tokens < 0:
+        raise ContractViolation("max_new_tokens must be >= 0")
     trace = GenerationTrace(mode=mode, n_image=state.n_image, n_text=state.n_text)
     work = state.copy()
     if max_new_tokens == 0:

@@ -143,6 +143,86 @@ def test_predictor_blocks_are_live_layer_weights():
     assert not np.array_equal(before, image_decisions(preds, tokens))
 
 
+# -- query-blocked attention ------------------------------------------------------
+
+
+def reference_layer(layer, x, mask, num_heads, past_kv=None):
+    """Unblocked layer: full (..., heads, n, m + n) scores over every key."""
+    from ctxsparse import kernels
+    d = x.shape[-1]
+    dh = d // num_heads
+    normed = m._rms_norm(x, layer.attn_norm_gain)
+    q, k, v = normed @ layer.w_q, normed @ layer.w_k, normed @ layer.w_v
+    if past_kv is not None:
+        k = np.concatenate([past_kv[0], k], axis=-2)
+        v = np.concatenate([past_kv[1], v], axis=-2)
+
+    def heads(t):
+        return t.reshape(*t.shape[:-1], num_heads, dh).swapaxes(-2, -3)
+
+    scores = (heads(q) @ heads(k).swapaxes(-1, -2)) * dh ** -0.5
+    probs = kernels.softmax_rows(scores) if mask is None \
+        else kernels.masked_softmax(scores, mask)
+    ctx = (probs @ heads(v)).swapaxes(-2, -3).reshape(x.shape)
+    attn = x + ctx @ layer.w_o
+    normed2 = m._rms_norm(attn, layer.ffn_norm_gain)
+    return attn + m._silu(normed2 @ layer.ffn_in) @ layer.ffn_out
+
+
+BLOCK_ROWS = (1, 63, 64, 65, 131)
+
+
+def holed_causal_mask(n, rng):
+    """Causal mask with random holes below the diagonal; the diagonal stays."""
+    mask = m.causal_mask(n) * (rng.random((n, n)) < 0.7)
+    mask[np.arange(n), np.arange(n)] = 1.0
+    return mask
+
+
+def test_layer_forward_blocks_match_unblocked_reference():
+    from ctxsparse.sparsify import _padded_causal_mask, left_pad
+    model = toy_model(9)
+    layer = model.layers[1]
+    rng = np.random.default_rng(30)
+    for n in BLOCK_ROWS:
+        x = rng.normal(size=(n, 64))
+        for mask in (None, m.causal_mask(n), holed_causal_mask(n, rng)):
+            out, _, _ = m.layer_forward(layer, x, mask, 4)
+            assert np.abs(out - reference_layer(layer, x, mask, 4)).max() <= 1e-12
+        # left-padded lanes of n, n // 2 + 1 and 1 rows
+        xb, valid = left_pad([rng.normal(size=(r, 64)) for r in (n, n // 2 + 1, 1)])
+        # (B, 1, n, n) padded causal mask and (B, 1, 1, n) key validity
+        for mask in (_padded_causal_mask(valid)[:, None], valid[:, None, None, :]):
+            out, _, _ = m.layer_forward(layer, xb, mask, 4)
+            assert np.abs(out - reference_layer(layer, xb, mask, 4)).max() <= 1e-12
+
+
+def test_layer_forward_blocks_with_past_kv_match_reference():
+    model = toy_model(10)
+    layer = model.layers[2]
+    rng = np.random.default_rng(31)
+    for n in BLOCK_ROWS:
+        past = rng.normal(size=(40, 64)), rng.normal(size=(40, 64))
+        x = rng.normal(size=(n, 64))
+        tail = m.causal_mask(40 + n)[40:]
+        for mask in (None, tail):
+            out, _, _ = m.layer_forward(layer, x, mask, 4, past_kv=past)
+            ref = reference_layer(layer, x, mask, 4, past_kv=past)
+            assert np.abs(out - ref).max() <= 1e-12
+
+
+def test_layer_forward_rejects_all_zero_row_in_later_block():
+    model = toy_model(11)
+    x = np.random.default_rng(32).normal(size=(131, 64))
+    one_row = m.causal_mask(131)
+    one_row[100] = 0.0
+    whole_block = m.causal_mask(131)
+    whole_block[64:128] = 0.0
+    for mask in (one_row, whole_block, one_row[None]):
+        with pytest.raises(ContractViolation, match="all zeros"):
+            m.layer_forward(model.layers[0], x, mask, 4)
+
+
 def test_prefill_populates_cache_and_normalizes():
     model = toy_model()
     state = toy_state(model)
@@ -158,6 +238,30 @@ def test_prefill_rejects_empty():
     empty = m.SequenceState(np.zeros((0, 64)), np.zeros((0, 64)), np.zeros((0, 64)))
     with pytest.raises(ContractViolation):
         m.prefill(model, empty)
+
+
+def test_embed_output_token_rejects_negative_token_id():
+    model = toy_model()
+    with pytest.raises(ContractViolation, match="vocabulary"):
+        m.embed_output_token(model, -1, 5)
+    with pytest.raises(ContractViolation, match="vocabulary"):
+        m.append_output(model, toy_state(model), -1)
+
+
+def test_embed_output_token_rejects_token_id_past_vocabulary():
+    model = toy_model()
+    with pytest.raises(ContractViolation, match="vocabulary"):
+        m.embed_output_token(model, TOY.vocab_size, 5)
+    assert np.array_equal(m.embed_output_token(model, TOY.vocab_size - 1, 5),
+                          model.token_emb[-1] + model.pos_emb[5])
+
+
+def test_embed_output_token_rejects_negative_position():
+    model = toy_model()
+    with pytest.raises(ContractViolation, match="position"):
+        m.embed_output_token(model, 3, -1)
+    with pytest.raises(ContractViolation, match="position"):
+        m.embed_output_token(model, 3, TOY.max_seq_len)
 
 
 def test_decode_no_cache_with_zero_outputs_equals_prefill():

@@ -372,3 +372,12 @@ def test_generation_stop_reasons():
         == "max_new_tokens"
     model.lm_head[...] = 0.0  # all-zero logits: argmax tie -> EOS
     assert sp.sparse_greedy_generate(model, preds, state, cfg, 5).stop_reason == "eos"
+
+
+def test_sparse_greedy_generate_rejects_negative_max_new_tokens():
+    model, preds, state = setup(23)
+    for mode in ("no_cache", "with_cache"):
+        with pytest.raises(ContractViolation, match="max_new_tokens"):
+            sp.sparse_greedy_generate(model, preds, state, scfg(), -3, mode=mode)
+        with pytest.raises(ContractViolation, match="max_new_tokens"):
+            m.greedy_generate(model, state, -3, mode=mode)
