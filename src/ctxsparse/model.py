@@ -4,6 +4,10 @@ Implements the three standard inference modes: one-pass prefill over the
 image+text prompt, decoding without a KV cache (full re-run each step), and
 decoding with a KV cache (single-token steps over stored activations). The
 two decode modes are numerically equivalent and tested against each other.
+Dense inference is sparse inference that keeps everything: ``prefill``,
+``decode_step_with_cache`` and ``greedy_generate`` call the ``sparsify``
+paths with ``sparsify_layer = 0`` and keep rate 1, which consult no
+predictor and give the same values a separate dense path would.
 One layer implementation, ``layer_forward``, serves every mode: prefill and
 no-cache decode run it over whole token sets, cached decode over one new
 row with the cache as ``past_kv``, and the batched paths and the image
@@ -443,19 +447,21 @@ def full_logits(model: Model, state: SequenceState) -> np.ndarray:
     return _rms_norm(hidden, model.final_norm_gain) @ model.lm_head
 
 
+def _keep_all():
+    """Dense inference as sparse inference: sparsify at l = 0 and keep
+    every image and output token, so no predictor is ever consulted."""
+    from .sparsify import SparsityConfig
+
+    return SparsityConfig(sparsify_layer=0, image_keep_rate=1.0, output_keep_rate=1.0)
+
+
 def prefill(model: Model, state: SequenceState, meter=None):
     """Process the full image+text prompt; return last-position logits and
     a cache populated with every prompt token's K/V at every layer."""
-    if state.n_prefill == 0:
-        raise ContractViolation("prefill: empty state")
-    cache = KVCacheStore(model.config.num_layers)
-    x = state.prefill_tokens()
-    mask = causal_mask(x.shape[0])
-    positions = np.arange(x.shape[0])
-    for li, layer in enumerate(model.layers):
-        x, k, v = layer_forward(layer, x, mask, model.config.num_heads, meter=meter)
-        cache.extend(li, k, v, positions)
-    return _logits_at(model, x[-1]), cache
+    from .sparsify import sparse_prefill
+
+    logits, cache, _ = sparse_prefill(model, None, state, _keep_all(), meter=meter)
+    return logits, cache
 
 
 def decode_step_no_cache(model: Model, state: SequenceState) -> np.ndarray:
@@ -479,17 +485,10 @@ def decode_step_with_cache(model: Model, cache: KVCacheStore,
                            last_token: np.ndarray, position: int) -> np.ndarray:
     """One cached decode step: append the token's K/V per layer, attend over
     cache plus self, return next-token logits."""
-    x = last_token
-    for li, layer in enumerate(model.layers):
-        if cache.positions[li] and position <= cache.positions[li][-1]:
-            raise ContractViolation(
-                f"decode position {position} conflicts with cache at layer {li}"
-            )
-        ck, cv = cache.stacked(li)
-        out, k_self, v_self = attend_cached(layer, x, ck, cv, model.config.num_heads)
-        cache.append(li, k_self, v_self, position)
-        x = out
-    return _logits_at(model, x)
+    from .sparsify import sparse_decode_with_cache
+
+    return sparse_decode_with_cache(model, None, cache, [], last_token, position,
+                                    _keep_all())[0]
 
 
 def stop_reason(model: Model, token: int, position: int):
@@ -511,35 +510,10 @@ def greedy_generate(model: Model, state: SequenceState, max_new_tokens: int,
     ``mode`` selects the no-cache or cached path; both produce identical
     token lists for the same model and state.
     """
-    if mode not in ("no_cache", "with_cache"):
-        raise ContractViolation(f"unknown mode {mode!r}")
-    if max_new_tokens < 0:
-        raise ContractViolation("max_new_tokens must be >= 0")
-    work = state.copy()
-    generated = []
-    if max_new_tokens == 0:
-        return generated
-    if mode == "with_cache":
-        logits, cache = prefill(model, work)
-        position = work.n_prefill
-        for _ in range(max_new_tokens):
-            token = int(np.argmax(logits))
-            generated.append(token)
-            if stop_reason(model, token, position):
-                break
-            vec = embed_output_token(model, token, position)
-            logits = decode_step_with_cache(model, cache, vec, position)
-            position += 1
-    else:
-        logits, _ = prefill(model, work)
-        for _ in range(max_new_tokens):
-            token = int(np.argmax(logits))
-            generated.append(token)
-            if stop_reason(model, token, work.total):
-                break
-            append_output(model, work, token)
-            logits = decode_step_no_cache(model, work)
-    return generated
+    from .sparsify import sparse_greedy_generate
+
+    return sparse_greedy_generate(model, None, state, _keep_all(), max_new_tokens,
+                                  mode=mode).token_ids
 
 
 # -- checkpoint container ------------------------------------------------------

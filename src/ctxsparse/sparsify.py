@@ -3,17 +3,24 @@ reduction when decoding without a KV cache, and online KV-cache admission
 when decoding with one, plus left-padded batch-parallel variants and the
 Random/Structure static baselines.
 
-Layer convention: with ``sparsify_layer = l`` the first l layers always see
-the full token set and cache every token, the predictors read the l-th
-layer's output, and every deeper layer sees only survivors. A decision is
-made once per token and shared by all deeper layers; a dropped or
-non-admitted token never reappears beyond layer l at any later step. The
-newest token always takes part in its own step's attention regardless of
-whether it is admitted for future steps.
+Layer convention: with ``sparsify_layer = l`` (0 <= l < num_layers) the
+first l layers always see the full token set and cache every token, the
+predictors read the l-th layer's output (the embeddings when l = 0), and
+layers l and beyond see only survivors. A decision is made once per token
+and shared by all deeper layers; a dropped or non-admitted token never
+reappears beyond layer l at any later step. The newest token always takes
+part in its own step's attention regardless of whether it is admitted for
+future steps.
+
+Dense inference is the case l = 0 with both keep rates at 1: nothing is
+dropped, no predictor is consulted, and ``model.prefill``,
+``model.decode_step_with_cache`` and ``model.greedy_generate`` are thin
+calls into ``sparse_prefill``, ``sparse_decode_with_cache`` and
+``sparse_greedy_generate``.
 
 Every mode and path runs its layers through ``model.layer_forward``: the
 single-sample paths over (N, d) token sets or one cached row, the batched
-paths over left-padded (B, N, d) sets with per-lane masks.
+no-cache paths over left-padded (B, N, d) sets with per-lane masks.
 """
 
 from __future__ import annotations
@@ -61,9 +68,9 @@ class SparsityConfig:
     policy_seed: int = 0
 
     def validate(self, num_layers: int):
-        if not 1 <= self.sparsify_layer < num_layers:
+        if not 0 <= self.sparsify_layer < num_layers:
             raise ContractViolation(
-                f"sparsify_layer must be in [1, {num_layers - 1}], "
+                f"sparsify_layer must be in [0, {num_layers - 1}], "
                 f"got {self.sparsify_layer}"
             )
         if not 0.0 < self.image_keep_rate <= 1.0:
@@ -176,26 +183,30 @@ def select_image_keep(predictors: Predictors, image_hidden: np.ndarray,
 
 
 def _output_flags(predictors: Predictors, output_hidden: np.ndarray,
-                  cfg: SparsityConfig) -> np.ndarray:
-    """Keep flags for every output token, before the forced-keep of the
-    newest token. Decisions are per-token and stable across steps."""
+                  cfg: SparsityConfig, first_index: int = 0) -> np.ndarray:
+    """Keep flags for the output tokens ``first_index``, ``first_index + 1``,
+    ... before the forced keep of the newest token. Each decision depends
+    on its own token alone, so no-cache decoding (all outputs at once) and
+    cached admission (one token per step) make the same ones."""
     n = output_hidden.shape[0]
     if cfg.output_keep_rate == 1.0:
         return np.ones(n, dtype=np.int64)
     if cfg.policy in ("random", "structure"):
-        return np.array([_stream_admit(cfg, j) for j in range(n)], dtype=np.int64)
+        return np.array([_stream_admit(cfg, first_index + j) for j in range(n)],
+                        dtype=np.int64)
     return decisions_to_mask(output_decisions(predictors, output_hidden))
 
 
-def _admit_current(predictors: Predictors, token_hidden: np.ndarray,
-                   cfg: SparsityConfig, token_index: int) -> bool:
-    """Cache-admission decision for the newest output token."""
-    if cfg.output_keep_rate == 1.0:
-        return True
-    if cfg.policy in ("random", "structure"):
-        return _stream_admit(cfg, token_index)
-    decisions = output_decisions(predictors, token_hidden[None, :])
-    return bool(decisions_to_mask(decisions)[0])
+def _survivors(state: SequenceState, image_keep: np.ndarray, out_flags=None):
+    """Original positions of the tokens that layers l, l + 1, ... see: the
+    kept image tokens, every text token and, given output flags, the kept
+    outputs and always the newest one, which generates the next token."""
+    parts = [image_keep, np.arange(state.n_image, state.n_prefill)]
+    if out_flags is not None:
+        kept = out_flags.copy()
+        kept[-1] = 1
+        parts.append(state.n_prefill + np.flatnonzero(kept))
+    return np.concatenate(parts).astype(int)
 
 
 # -- single-sample sparsified modes --------------------------------------------
@@ -220,9 +231,7 @@ def sparse_prefill(model: Model, predictors: Predictors, state: SequenceState,
         x, k, v = layer_forward(model.layers[li], x, mask, heads, meter=meter)
         cache.extend(li, k, v, np.arange(x.shape[0]))
     keep = select_image_keep(predictors, x[:state.n_image], cfg)
-    if state.n_prefill > 0 and keep.size + state.n_text == 0:
-        raise ContractViolation("sparse_prefill kept no tokens")
-    positions = np.concatenate([keep, np.arange(state.n_image, state.n_prefill)])
+    positions = _survivors(state, keep)
     x = x[positions]
     mask = causal_mask(x.shape[0])
     for li in range(split, model.config.num_layers):
@@ -252,14 +261,7 @@ def sparse_decode_no_cache(model: Model, predictors: Predictors,
         x = decoder_layer_forward(model.layers[li], x, mask, heads)
     image_keep = select_image_keep(predictors, x[:state.n_image], cfg)
     out_flags = _output_flags(predictors, x[state.n_prefill:], cfg)
-    effective = out_flags.copy()
-    effective[-1] = 1  # the newest token generates the next one
-    positions = np.concatenate([
-        image_keep,
-        np.arange(state.n_image, state.n_prefill),
-        state.n_prefill + np.flatnonzero(effective),
-    ])
-    x = x[positions]
+    x = x[_survivors(state, image_keep, out_flags)]
     mask = causal_mask(x.shape[0])
     for li in range(split, model.config.num_layers):
         x = decoder_layer_forward(model.layers[li], x, mask, heads)
@@ -291,7 +293,7 @@ def sparse_decode_with_cache(model: Model, predictors: Predictors,
                 f"decode position {position} conflicts with cache at layer {li}"
             )
         if li == split:
-            admitted = _admit_current(predictors, x, cfg, len(admissions))
+            admitted = bool(_output_flags(predictors, x[None], cfg, len(admissions))[0])
         ck, cv = cache.stacked(li)
         out, k_self, v_self = attend_cached(layer, x, ck, cv, heads)
         if li < split or admitted:
@@ -321,40 +323,33 @@ def sparse_greedy_generate(model: Model, predictors: Predictors,
     work = state.copy()
     if max_new_tokens == 0:
         return trace
-    if mode == "with_cache":
-        logits, cache, keep = sparse_prefill(model, predictors, work, cfg)
-        trace.image_keep = list(map(int, keep))
-        admissions = trace.admissions
-        position = work.n_prefill
-        for _ in range(max_new_tokens):
-            token = int(np.argmax(logits))
-            trace.token_ids.append(token)
-            reason = stop_reason(model, token, position)
-            if reason:
-                trace.stop_reason = reason
-                break
-            vec = embed_output_token(model, token, position)
-            logits, _ = sparse_decode_with_cache(
-                model, predictors, cache, admissions, vec, position, cfg)
-            position += 1
-        return trace
-    logits, _, keep = sparse_prefill(model, predictors, work, cfg)
+    logits, cache, keep = sparse_prefill(model, predictors, work, cfg)
     trace.image_keep = list(map(int, keep))
-    out_flags = np.zeros(0, dtype=np.int64)
-    for _ in range(max_new_tokens):
-        token = int(np.argmax(logits))
-        trace.token_ids.append(token)
-        reason = stop_reason(model, token, work.total)
-        if reason:
-            trace.stop_reason = reason
-            break
+
+    def cached_step(token, position):
+        vec = embed_output_token(model, token, position)
+        return sparse_decode_with_cache(model, predictors, cache, trace.admissions,
+                                        vec, position, cfg)[0]
+
+    def no_cache_step(token, position):
         append_output(model, work, token)
         logits, keep, out_flags = sparse_decode_no_cache(
             model, predictors, work, cfg, return_decisions=True)
         trace.image_keep = list(map(int, keep))
-    for j, flag in enumerate(out_flags):
-        trace.admissions.append(AdmissionRecord(
-            position=state.n_prefill + j, admitted=bool(flag), step=j))
+        trace.admissions = [
+            AdmissionRecord(position=state.n_prefill + j, admitted=bool(flag), step=j)
+            for j, flag in enumerate(out_flags)]
+        return logits
+
+    step = cached_step if mode == "with_cache" else no_cache_step
+    for position in range(work.n_prefill, work.n_prefill + max_new_tokens):
+        token = int(np.argmax(logits))
+        trace.token_ids.append(token)
+        reason = stop_reason(model, token, position)
+        if reason:
+            trace.stop_reason = reason
+            break
+        logits = step(token, position)
     return trace
 
 
@@ -432,8 +427,7 @@ def _batch_keep_sets(predictors, x_l, batch, row_counts, cfg):
 
 
 def batch_sparse_prefill(model: Model, predictors: Predictors,
-                         batch: PaddedBatch, cfg: SparsityConfig,
-                         build_caches: bool = False):
+                         batch: PaddedBatch, cfg: SparsityConfig):
     """Left-padded batch-parallel sparse prefill.
 
     Keeps floor(image_keep_rate * n_image_b) image tokens per sample via
@@ -443,42 +437,23 @@ def batch_sparse_prefill(model: Model, predictors: Predictors,
     cfg.validate(model.config.num_layers)
     split = cfg.sparsify_layer
     heads = model.config.num_heads
-    caches = [KVCacheStore(model.config.num_layers) for _ in batch.states] \
-        if build_caches else None
     x, valid = left_pad([st.prefill_tokens() for st in batch.states])
     mask = _padded_causal_mask(valid)[:, None]
     for li in range(split):
-        x, k, v = layer_forward(model.layers[li], x, mask, heads)
-        if build_caches:
-            _cache_batched(caches, li, k, v, valid,
-                           [np.arange(st.n_prefill) for st in batch.states])
+        x = layer_forward(model.layers[li], x, mask, heads)[0]
     keep_sets = _batch_keep_sets(predictors, x, batch,
                                  [st.n_prefill for st in batch.states], cfg)
-    survivor_rows, survivor_pos = [], []
+    survivor_rows = []
     max_np = x.shape[1]
     for b, st in enumerate(batch.states):
         offset = max_np - st.n_prefill
-        pos = np.concatenate([keep_sets[b],
-                              np.arange(st.n_image, st.n_prefill)]).astype(int)
-        survivor_rows.append(x[b, offset + pos])
-        survivor_pos.append(pos)
+        survivor_rows.append(x[b, offset + _survivors(st, keep_sets[b])])
     x, valid = left_pad(survivor_rows)
     mask = _padded_causal_mask(valid)[:, None]
     for li in range(split, model.config.num_layers):
-        x, k, v = layer_forward(model.layers[li], x, mask, heads)
-        if build_caches:
-            _cache_batched(caches, li, k, v, valid, survivor_pos)
+        x = layer_forward(model.layers[li], x, mask, heads)[0]
     logits = _rms_norm(x[:, -1], model.final_norm_gain) @ model.lm_head
-    if build_caches:
-        return logits, keep_sets, caches
     return logits, keep_sets
-
-
-def _cache_batched(caches, layer_idx, k, v, valid, positions_per_sample):
-    """Write each lane's unpadded (B, N, d) ``k``, ``v`` rows to its cache."""
-    for b, positions in enumerate(positions_per_sample):
-        rows = np.flatnonzero(valid[b])
-        caches[b].extend(layer_idx, k[b, rows], v[b, rows], positions)
 
 
 def batch_sparse_decode(model: Model, predictors: Predictors,
@@ -486,25 +461,39 @@ def batch_sparse_decode(model: Model, predictors: Predictors,
                         mode: str = "no_cache") -> np.ndarray:
     """Batched next-token logits over per-sample histories.
 
-    ``no_cache`` re-runs the padded full sets with per-sample output masks;
-    ``with_cache`` replays the histories through padded per-sample KV caches
-    (lanes advance in lockstep, so with-cache mode requires equal history
-    lengths). Per-sample results match sequential execution within 1e-9.
+    ``no_cache`` re-runs the left-padded full sets in lockstep with
+    per-sample output masks. ``with_cache`` runs each lane on its own:
+    ``sparse_prefill`` of its prompt, then ``sparse_decode_with_cache`` over
+    its output tokens, so lanes may hold different numbers of outputs and
+    each lane's logits are those of sequential decoding. Every lane needs
+    at least one output token in both modes. Per-sample results match
+    sequential execution within 1e-9.
     """
     cfg.validate(model.config.num_layers)
+    if mode not in ("no_cache", "with_cache"):
+        raise ContractViolation(f"unknown mode {mode!r}")
+    if any(st.n_output < 1 for st in batch.states):
+        raise ContractViolation("batch decode: every sample needs output tokens")
     if mode == "no_cache":
         return _batch_decode_no_cache(model, predictors, batch, cfg)
-    if mode == "with_cache":
-        return _batch_decode_with_cache(model, predictors, batch, cfg)
-    raise ContractViolation(f"unknown mode {mode!r}")
+    return np.stack([_decode_lane_with_cache(model, predictors, st, cfg)
+                     for st in batch.states])
+
+
+def _decode_lane_with_cache(model, predictors, state, cfg):
+    """Next-token logits after caching ``state``'s prompt and feeding its
+    output tokens one cached step at a time."""
+    logits, cache, _ = sparse_prefill(model, predictors, state, cfg)
+    admissions = []
+    for t in range(state.n_output):
+        logits, _ = sparse_decode_with_cache(model, predictors, cache, admissions,
+                                             state.output[t], state.n_prefill + t, cfg)
+    return logits
 
 
 def _batch_decode_no_cache(model, predictors, batch, cfg):
     split = cfg.sparsify_layer
     heads = model.config.num_heads
-    for st in batch.states:
-        if st.n_output < 1:
-            raise ContractViolation("batch decode: every sample needs output tokens")
     x, valid = left_pad([st.all_tokens() for st in batch.states])
     mask = _padded_causal_mask(valid)[:, None]
     for li in range(split):
@@ -517,48 +506,9 @@ def _batch_decode_no_cache(model, predictors, batch, cfg):
         offset = max_n - st.total
         out_rows = x[b, offset + st.n_prefill: offset + st.total]
         flags = _output_flags(predictors, out_rows, cfg)
-        flags = flags.copy()
-        flags[-1] = 1
-        pos = np.concatenate([
-            keep_sets[b],
-            np.arange(st.n_image, st.n_prefill),
-            st.n_prefill + np.flatnonzero(flags),
-        ]).astype(int)
-        survivor_rows.append(x[b, offset + pos])
+        survivor_rows.append(x[b, offset + _survivors(st, keep_sets[b], flags)])
     x, valid = left_pad(survivor_rows)
     mask = _padded_causal_mask(valid)[:, None]
     for li in range(split, model.config.num_layers):
         x = decoder_layer_forward(model.layers[li], x, mask, heads)
     return _rms_norm(x[:, -1], model.final_norm_gain) @ model.lm_head
-
-
-def _batch_decode_with_cache(model, predictors, batch, cfg):
-    split = cfg.sparsify_layer
-    heads = model.config.num_heads
-    n_out = {st.n_output for st in batch.states}
-    if len(n_out) != 1 or 0 in n_out:
-        raise ContractViolation(
-            "with-cache batch decode needs equal, nonzero history lengths")
-    steps = n_out.pop()
-    prompts = [SequenceState(st.image, st.text, np.zeros((0, model.config.hidden_dim)))
-               for st in batch.states]
-    logits, _, caches = batch_sparse_prefill(
-        model, predictors, PaddedBatch(prompts), cfg, build_caches=True)
-    for t in range(steps):
-        x = np.stack([st.output[t] for st in batch.states])[:, None]
-        positions = [st.n_prefill + t for st in batch.states]
-        for li, layer in enumerate(model.layers):
-            if li == split:
-                admit = [_admit_current(predictors, x[b, 0], cfg, t)
-                         for b in range(batch.size)]
-            past_k, kvalid = left_pad([c.stacked(li)[0] for c in caches])
-            past_v, _ = left_pad([c.stacked(li)[1] for c in caches])
-            kvalid = np.concatenate([kvalid, np.ones((batch.size, 1), dtype=bool)],
-                                    axis=1)
-            x, k, v = layer_forward(layer, x, kvalid[:, None, None, :], heads,
-                                    past_kv=(past_k, past_v))
-            for b in range(batch.size):
-                if li < split or admit[b]:
-                    caches[b].append(li, k[b, 0], v[b, 0], positions[b])
-        logits = _rms_norm(x[:, 0], model.final_norm_gain) @ model.lm_head
-    return logits

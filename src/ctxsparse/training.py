@@ -130,43 +130,34 @@ def _mask_matrix_t(flags: ad.Tensor, n: int) -> ad.Tensor:
 # -- differentiable forward ------------------------------------------------------
 
 
-def _layer_forward_t(params, idx, x: ad.Tensor, mask: ad.Tensor,
+def _layer_forward_t(params, prefix: str, x: ad.Tensor, mask,
                      num_heads: int) -> ad.Tensor:
+    """Differentiable ``model.layer_forward`` over (B, N, d) rows with the
+    weights ``params[prefix + name]``. ``mask`` broadcasts to the
+    (B, heads, N, N) scores; ``None`` means bidirectional attention."""
     bsz, n, d = x.shape
     dh = d // num_heads
-    normed = ad.rms_norm(x, params[f"layers.{idx}.attn_norm_gain"])
-    qkv = ad.concat([params[f"layers.{idx}.w_q"], params[f"layers.{idx}.w_k"],
-                     params[f"layers.{idx}.w_v"]], axis=1)
-    fused = (normed @ qkv).reshape(bsz, n, 3, num_heads, dh).transpose(0, 2, 3, 1, 4)
-    q, k, v = fused[:, 0], fused[:, 1], fused[:, 2]
+    def heads(t):
+        return t.reshape(bsz, n, num_heads, dh).transpose(0, 2, 1, 3)
+    normed = ad.rms_norm(x, params[prefix + "attn_norm_gain"])
+    q = heads(normed @ params[prefix + "w_q"])
+    k = heads(normed @ params[prefix + "w_k"])
+    v = heads(normed @ params[prefix + "w_v"])
     scores = (q @ k.transpose(0, 1, 3, 2)) * dh ** -0.5
-    probs = ad.masked_softmax_lastdim(scores, mask)
+    if mask is None:
+        probs = ad.softmax_lastdim(scores)
+    else:
+        probs = ad.masked_softmax_lastdim(scores, mask)
     ctx = (probs @ v).transpose(0, 2, 1, 3).reshape(bsz, n, d)
-    x = x + ctx @ params[f"layers.{idx}.w_o"]
-    normed2 = ad.rms_norm(x, params[f"layers.{idx}.ffn_norm_gain"])
-    return x + ad.silu(normed2 @ params[f"layers.{idx}.ffn_in"]) \
-        @ params[f"layers.{idx}.ffn_out"]
+    x = x + ctx @ params[prefix + "w_o"]
+    normed2 = ad.rms_norm(x, params[prefix + "ffn_norm_gain"])
+    return x + ad.silu(normed2 @ params[prefix + "ffn_in"]) @ params[prefix + "ffn_out"]
 
 
 def _image_predictor_t(params, x: ad.Tensor, num_heads: int) -> ad.Tensor:
-    bsz, n, _ = x.shape
     x = x @ params["image.proj"] + params["image.proj_bias"]
-    h = x.shape[-1]
-    dh = h // num_heads
     for i in range(2):
-        pre = f"image.block{i}."
-        normed = ad.rms_norm(x, params[pre + "attn_norm_gain"])
-        def heads(t):
-            return t.reshape(bsz, n, num_heads, dh).transpose(0, 2, 1, 3)
-        q = heads(normed @ params[pre + "w_q"])
-        k = heads(normed @ params[pre + "w_k"])
-        v = heads(normed @ params[pre + "w_v"])
-        scores = (q @ k.transpose(0, 1, 3, 2)) * dh ** -0.5
-        probs = ad.softmax_lastdim(scores)  # bidirectional
-        ctx = (probs @ v).transpose(0, 2, 1, 3).reshape(bsz, n, h)
-        x = x + ctx @ params[pre + "w_o"]
-        normed2 = ad.rms_norm(x, params[pre + "ffn_norm_gain"])
-        x = x + ad.silu(normed2 @ params[pre + "ffn_in"]) @ params[pre + "ffn_out"]
+        x = _layer_forward_t(params, f"image.block{i}.", x, None, num_heads)
     return _mlp_t(params, "image", x)
 
 
@@ -217,7 +208,7 @@ def training_forward(params, model_cfg, batch: TrainBatch, sparsity: SparsityCon
     x = x + pos
     tri = ad.constant(causal_mask(n_total)[None, None, :, :])
     for li in range(split):
-        x = _layer_forward_t(params, li, x, tri, model_cfg.num_heads)
+        x = _layer_forward_t(params, f"layers.{li}.", x, tri, model_cfg.num_heads)
         if trace_hidden is not None:
             trace_hidden.append(x.data)
 
@@ -249,7 +240,8 @@ def training_forward(params, model_cfg, batch: TrainBatch, sparsity: SparsityCon
     else:
         mask_beyond = _mask_matrix_t(flags, n_total).reshape(bsz, 1, n_total, n_total)
     for li in range(split, model_cfg.num_layers):
-        x = _layer_forward_t(params, li, x, mask_beyond, model_cfg.num_heads)
+        x = _layer_forward_t(params, f"layers.{li}.", x, mask_beyond,
+                             model_cfg.num_heads)
         if trace_hidden is not None:
             trace_hidden.append(x.data)
 

@@ -337,6 +337,18 @@ def test_greedy_generate_stops_at_max_seq_len():
         m.embed_output_token(model, cached[-1], TOY.max_seq_len)
 
 
+def test_one_layer_model_dense_prefill_and_generate():
+    config = m.ModelConfig(num_layers=1, hidden_dim=64, num_heads=4, ffn_dim=128,
+                           vocab_size=96, max_seq_len=128, image_feature_dim=32)
+    model = toy_model(13, config)
+    state = toy_state(model, 13)
+    logits, cache = m.prefill(model, state)
+    assert cache.lengths() == [state.n_prefill] and np.isfinite(logits).all()
+    cached = m.greedy_generate(model, state, 10, mode="with_cache")
+    assert cached == m.greedy_generate(model, state, 10, mode="no_cache")
+    assert len(cached) == 10 or cached[-1] == m.EOS_ID
+
+
 def test_greedy_mode_equivalence_over_models():
     mismatches = 0
     for seed in range(100):

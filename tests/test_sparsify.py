@@ -45,6 +45,30 @@ def test_structure_policy_mask_patterns():
     assert sp.structure_policy_mask(0).tolist() == []
 
 
+def test_sparsify_layer_range_includes_zero():
+    for layer in (-1, CFG.num_layers):
+        with pytest.raises(ContractViolation, match="sparsify_layer"):
+            scfg(sparsify_layer=layer).validate(CFG.num_layers)
+    assert scfg(sparsify_layer=0).validate(CFG.num_layers).sparsify_layer == 0
+
+
+@pytest.mark.parametrize("policy", ["learned", "random", "structure"])
+def test_mode_equivalence_at_layer_zero(policy):
+    admitted = set()
+    for seed in range(10):
+        model, preds, state = setup(60 + seed, n_image=12, n_text=3)
+        for arr in (preds.image_mlp_b[-1], preds.output_mlp_b[-1]):
+            arr[1] = 0.0  # no keep bias: the learned output decisions vary
+        cfg = scfg(sparsify_layer=0, policy=policy)
+        a = sp.sparse_greedy_generate(model, preds, state, cfg, 8, mode="no_cache")
+        b = sp.sparse_greedy_generate(model, preds, state, cfg, 8, mode="with_cache")
+        assert a.token_ids == b.token_ids
+        assert a.image_keep == b.image_keep and len(a.image_keep) < state.n_image
+        assert [r.admitted for r in a.admissions] == [r.admitted for r in b.admissions]
+        admitted.update(r.admitted for r in b.admissions)
+    assert admitted == {True, False}
+
+
 # -- sparse prefill --------------------------------------------------------------
 
 
@@ -319,6 +343,39 @@ def test_batch_decode_with_cache_parity():
                 model, preds, cache, admissions, st.output[t],
                 st.n_prefill + t, cfg)
         assert np.abs(got[b] - logits).max() <= 1e-9
+
+
+def sequential_with_cache(model, preds, state, cfg):
+    logits, cache, _ = sp.sparse_prefill(model, preds, state, cfg)
+    admissions = []
+    for t in range(state.n_output):
+        logits, _ = sp.sparse_decode_with_cache(model, preds, cache, admissions,
+                                                state.output[t], state.n_prefill + t, cfg)
+    return logits
+
+
+def test_batch_decode_with_cache_unequal_histories_equal_sequential():
+    model, preds, _ = setup(24)
+    states = batch_of_states(model, [5, 6, 7], [9, 12, 7], [4, 3, 5])
+    rng = np.random.default_rng(25)
+    for st, n_out in zip(states, (2, 5, 3)):
+        for tok in rng.integers(1, CFG.vocab_size, size=n_out):
+            m.append_output(model, st, int(tok))
+    cfg = scfg()
+    got = sp.batch_sparse_decode(model, preds, sp.PaddedBatch(states), cfg,
+                                 mode="with_cache")
+    for b, st in enumerate(states):
+        assert np.array_equal(got[b], sequential_with_cache(model, preds, st, cfg))
+
+
+def test_batch_decode_rejects_lane_without_outputs_in_both_modes():
+    model, preds, _ = setup(26)
+    states = batch_of_states(model, [1, 2], [6, 8], [3, 4])
+    m.append_output(model, states[0], 7)
+    for mode in ("no_cache", "with_cache"):
+        with pytest.raises(ContractViolation, match="every sample needs output tokens"):
+            sp.batch_sparse_decode(model, preds, sp.PaddedBatch(states), scfg(),
+                                   mode=mode)
 
 
 def test_batch_with_text_only_lane_matches_single():

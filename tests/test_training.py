@@ -4,7 +4,7 @@ from ctxsparse import autodiff as ad
 from ctxsparse import model as m
 from ctxsparse import sparsify as sp
 from ctxsparse import training as tr
-from ctxsparse.predictors import PredictorConfig, make_predictors
+from ctxsparse.predictors import PredictorConfig, image_decisions, make_predictors
 
 CFG = m.ModelConfig(num_layers=4, hidden_dim=64, num_heads=4, ffn_dim=128,
                     vocab_size=96, max_seq_len=256, image_feature_dim=32)
@@ -54,3 +54,12 @@ def test_masked_training_equals_hard_drop_inference():
     # zeroing dropped tokens instead of masking them (the negative control)
     hard = masked_training_logits(model, batch, sparsity, masks, hard_drop=True)
     assert max(np.abs(got - want).max() for got, want in zip(hard, inference)) > 1e-3
+
+
+def test_autodiff_image_predictor_matches_numpy_predictor():
+    preds = make_predictors(PredictorConfig(input_dim=64), seed=43)
+    params = {name: ad.Tensor(arr) for name, arr in preds.parameters().items()}
+    hidden = np.random.default_rng(44).normal(size=(3, 150, 64))
+    got = tr._image_predictor_t(params, ad.Tensor(hidden), preds.config.num_heads).data
+    for b in range(3):
+        assert np.abs(got[b] - image_decisions(preds, hidden[b])).max() <= 1e-12
