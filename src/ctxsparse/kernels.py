@@ -27,17 +27,6 @@ def as_matrix(x) -> np.ndarray:
     return a
 
 
-def matmul(a, b) -> np.ndarray:
-    """Matrix product of two 2-D matrices."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ContractViolation(
-            f"matmul dimension mismatch: {a.shape} @ {b.shape}"
-        )
-    return a @ b
-
-
 def _scores(x) -> np.ndarray:
     """Coerce softmax input to a float64 array of rank >= 2."""
     a = np.asarray(x, dtype=np.float64)

@@ -5,15 +5,18 @@ image+text prompt, decoding without a KV cache (full re-run each step), and
 decoding with a KV cache (single-token steps over stored activations). The
 two decode modes are numerically equivalent and tested against each other.
 Dense inference is sparse inference that keeps everything: ``prefill``,
-``decode_step_with_cache`` and ``greedy_generate`` call the ``sparsify``
-paths with ``sparsify_layer = 0`` and keep rate 1, which consult no
-predictor and give the same values a separate dense path would.
+``decode_step_no_cache``, ``full_logits``, ``decode_step_with_cache`` and
+``greedy_generate`` call the ``sparsify`` paths with ``sparsify_layer = 0``
+and keep rate 1, which consult no predictor and give the same values a
+separate dense path would. One forward, single = batch of one: prefill and
+no-cache decoding, dense or sparse, single or batched, are one layer loop
+in ``sparsify`` over left-padded lanes.
 One layer implementation, ``layer_forward``, serves every mode: prefill and
-no-cache decode run it over whole token sets, cached decode over one new
-row with the cache as ``past_kv``, and the batched paths and the image
-predictor's blocks over (B, N, d) inputs with broadcast masks. It runs
-in blocks of query rows and skips the key columns the mask hides from a
-whole block, such as the upper triangle of a causal mask.
+no-cache decode run it over left-padded (B, N, d) token sets, cached decode
+over one new row with the cache as ``past_kv``, and the image predictor's
+blocks over whole token sets with no mask. It runs in blocks of query rows
+and skips the key columns the mask hides from a whole block, such as the
+upper triangle of a causal mask.
 
 Positions are always the ORIGINAL positions assigned at embedding time, so
 removing tokens later never renumbers the survivors.
@@ -272,7 +275,7 @@ def _silu(x: np.ndarray) -> np.ndarray:
 
 def causal_mask(n: int) -> np.ndarray:
     """Lower-triangular attention mask over an ordered token subset."""
-    return np.tril(np.ones((n, n)))
+    return np.tri(n)
 
 
 def _query_blocks(mask, n: int, n_keys: int):
@@ -432,19 +435,12 @@ def append_output(model: Model, state: SequenceState, token_id: int):
     state.output_ids.append(int(token_id))
 
 
-def forward_hidden(model: Model, tokens: np.ndarray, meter=None) -> np.ndarray:
-    """Run all layers over an ordered token matrix with causal masking."""
-    mask = causal_mask(tokens.shape[0])
-    x = tokens
-    for layer in model.layers:
-        x = decoder_layer_forward(layer, x, mask, model.config.num_heads, meter)
-    return x
-
-
 def full_logits(model: Model, state: SequenceState) -> np.ndarray:
     """Logits at every position; used by tests and training oracles."""
-    hidden = forward_hidden(model, state.all_tokens())
-    return _rms_norm(hidden, model.final_norm_gain) @ model.lm_head
+    from .sparsify import _sparse_forward
+
+    hidden = _sparse_forward(model, None, [state], _keep_all(), True)[0]
+    return _logits_at(model, hidden[0])
 
 
 def _keep_all():
@@ -466,8 +462,10 @@ def prefill(model: Model, state: SequenceState, meter=None):
 
 def decode_step_no_cache(model: Model, state: SequenceState) -> np.ndarray:
     """Full forward over prompt plus all generated tokens; last-row logits."""
-    hidden = forward_hidden(model, state.all_tokens())
-    return _logits_at(model, hidden[-1])
+    from .sparsify import _sparse_forward
+
+    hidden = _sparse_forward(model, None, [state], _keep_all(), True)[0]
+    return _logits_at(model, hidden[0, -1])
 
 
 def attend_cached(layer: LayerWeights, token: np.ndarray, cached_k: np.ndarray,

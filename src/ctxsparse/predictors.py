@@ -152,16 +152,13 @@ def output_decisions(p: Predictors, output_hidden: np.ndarray) -> np.ndarray:
     return _decision_mlp(x, p.output_mlp_w, p.output_mlp_b)
 
 
-def decisions_to_mask(decisions: np.ndarray, force_keep_last: bool = False) -> np.ndarray:
+def decisions_to_mask(decisions: np.ndarray) -> np.ndarray:
     """Binary keep flags: 1 iff the keep score strictly exceeds the drop
-    score (ties drop). Optionally forces the final flag to 1 afterwards."""
+    score (ties drop)."""
     decisions = np.asarray(decisions, dtype=np.float64)
     if decisions.shape[0] == 0:
         return np.zeros(0, dtype=np.int64)
-    flags = (kernels.argmax_lastdim(decisions) == 1).astype(np.int64)
-    if force_keep_last:
-        flags[-1] = 1
-    return flags
+    return (kernels.argmax_lastdim(decisions) == 1).astype(np.int64)
 
 
 def select_topk_keep(decisions: np.ndarray, keep_rate: float) -> np.ndarray:

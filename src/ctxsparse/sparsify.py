@@ -12,15 +12,18 @@ reappears beyond layer l at any later step. The newest token always takes
 part in its own step's attention regardless of whether it is admitted for
 future steps.
 
+One forward, single = batch of one: prefill and no-cache decoding, single
+and batched, all run ``_sparse_forward``, one loop over the layers of
+left-padded (B, N, d) lanes in which each lane makes its keep decisions at
+layer l from its own rows. A single sequence is a batch of one, with no
+padding. Cached decoding runs one new row per step through
+``attend_cached``.
+
 Dense inference is the case l = 0 with both keep rates at 1: nothing is
 dropped, no predictor is consulted, and ``model.prefill``,
+``model.decode_step_no_cache``, ``model.full_logits``,
 ``model.decode_step_with_cache`` and ``model.greedy_generate`` are thin
-calls into ``sparse_prefill``, ``sparse_decode_with_cache`` and
-``sparse_greedy_generate``.
-
-Every mode and path runs its layers through ``model.layer_forward``: the
-single-sample paths over (N, d) token sets or one cached row, the batched
-no-cache paths over left-padded (B, N, d) sets with per-lane masks.
+calls into this module.
 """
 
 from __future__ import annotations
@@ -35,11 +38,9 @@ from .model import (
     Model,
     SequenceState,
     _logits_at,
-    _rms_norm,
     append_output,
     attend_cached,
-    causal_mask,
-    decoder_layer_forward,
+    decoder_layer_forward,  # not called here; kept for the benchmark's probes
     embed_output_token,
     layer_forward,
     stop_reason,
@@ -48,7 +49,7 @@ from .predictors import (
     Predictors,
     decisions_to_mask,
     image_decisions,
-    image_decisions_batched,
+    image_decisions_batched,  # not called here; kept for the benchmark's probes
     output_decisions,
     select_topk_keep,
 )
@@ -209,7 +210,44 @@ def _survivors(state: SequenceState, image_keep: np.ndarray, out_flags=None):
     return np.concatenate(parts).astype(int)
 
 
-# -- single-sample sparsified modes --------------------------------------------
+# -- the one forward for prefill and no-cache decoding ---------------------------
+
+
+def _sparse_forward(model: Model, predictors: Predictors, states: list,
+                    cfg: SparsityConfig, outputs: bool, cache=None, meter=None):
+    """Prefill (``outputs`` False) or no-cache decoding (``outputs`` True)
+    of the lanes ``states`` in lockstep; a single sequence is a batch of one.
+
+    Each lane's prompt rows, plus its output rows when ``outputs``, are
+    left-padded and run through layers < l under a padded causal mask.
+    Each lane then picks its kept image tokens and output flags from its
+    own unpadded layer-l rows, and its survivors, re-padded, run through
+    layers l, l + 1, .... Given a one-lane ``cache``, every layer's K/V
+    rows are written into it at their original positions.
+
+    Returns the final (B, n, d) rows, whose last column holds each lane's
+    newest token, the per-lane kept image indices, and the per-lane output
+    flags (None for a lane without output rows).
+    """
+    rows = [st.all_tokens() if outputs else st.prefill_tokens() for st in states]
+    positions = [np.arange(r.shape[0]) for r in rows]
+    x, valid = left_pad(rows)
+    keep_sets, flag_sets = [], []
+    for li, layer in enumerate(model.layers):
+        if li == cfg.sparsify_layer:
+            lanes = [x[b, x.shape[1] - len(p):] for b, p in enumerate(positions)]
+            for b, st in enumerate(states):
+                keep_sets.append(select_image_keep(predictors, lanes[b][:st.n_image], cfg))
+                flag_sets.append(_output_flags(predictors, lanes[b][st.n_prefill:], cfg)
+                                 if outputs and st.n_output else None)
+                positions[b] = _survivors(st, keep_sets[b], flag_sets[b])
+            x, valid = left_pad([lane[p] for lane, p in zip(lanes, positions)])
+        if li in (0, cfg.sparsify_layer):
+            mask = _padded_causal_mask(valid)[:, None]
+        x, k, v = layer_forward(layer, x, mask, model.config.num_heads, meter=meter)
+        if cache is not None:
+            cache.extend(li, k[0], v[0], positions[0])
+    return x, keep_sets, flag_sets
 
 
 def sparse_prefill(model: Model, predictors: Predictors, state: SequenceState,
@@ -222,22 +260,10 @@ def sparse_prefill(model: Model, predictors: Predictors, state: SequenceState,
     cfg.validate(model.config.num_layers)
     if state.n_prefill == 0:
         raise ContractViolation("sparse_prefill: empty state")
-    split = cfg.sparsify_layer
-    heads = model.config.num_heads
     cache = KVCacheStore(model.config.num_layers)
-    x = state.prefill_tokens()
-    mask = causal_mask(x.shape[0])
-    for li in range(split):
-        x, k, v = layer_forward(model.layers[li], x, mask, heads, meter=meter)
-        cache.extend(li, k, v, np.arange(x.shape[0]))
-    keep = select_image_keep(predictors, x[:state.n_image], cfg)
-    positions = _survivors(state, keep)
-    x = x[positions]
-    mask = causal_mask(x.shape[0])
-    for li in range(split, model.config.num_layers):
-        x, k, v = layer_forward(model.layers[li], x, mask, heads, meter=meter)
-        cache.extend(li, k, v, positions)
-    return _logits_at(model, x[-1]), cache, keep
+    x, keep_sets, _ = _sparse_forward(model, predictors, [state], cfg, False,
+                                      cache=cache, meter=meter)
+    return _logits_at(model, x[0, -1]), cache, keep_sets[0]
 
 
 def sparse_decode_no_cache(model: Model, predictors: Predictors,
@@ -253,21 +279,10 @@ def sparse_decode_no_cache(model: Model, predictors: Predictors,
     cfg.validate(model.config.num_layers)
     if state.n_output < 1:
         raise ContractViolation("sparse_decode_no_cache: need >= 1 output token")
-    split = cfg.sparsify_layer
-    heads = model.config.num_heads
-    x = state.all_tokens()
-    mask = causal_mask(x.shape[0])
-    for li in range(split):
-        x = decoder_layer_forward(model.layers[li], x, mask, heads)
-    image_keep = select_image_keep(predictors, x[:state.n_image], cfg)
-    out_flags = _output_flags(predictors, x[state.n_prefill:], cfg)
-    x = x[_survivors(state, image_keep, out_flags)]
-    mask = causal_mask(x.shape[0])
-    for li in range(split, model.config.num_layers):
-        x = decoder_layer_forward(model.layers[li], x, mask, heads)
-    logits = _logits_at(model, x[-1])
+    x, keep_sets, flag_sets = _sparse_forward(model, predictors, [state], cfg, True)
+    logits = _logits_at(model, x[0, -1])
     if return_decisions:
-        return logits, image_keep, out_flags
+        return logits, keep_sets[0], flag_sets[0]
     return logits
 
 
@@ -392,68 +407,23 @@ class PaddedBatch:
 def _padded_causal_mask(valid: np.ndarray) -> np.ndarray:
     """Causal mask over left-padded rows: no attention into pad slots, and
     pad rows self-attend so every row keeps one live entry."""
-    b, n = valid.shape
-    tril = np.tril(np.ones((n, n), dtype=bool))
-    mask = tril[None, :, :] & valid[:, None, :]
-    eye = np.eye(n, dtype=bool)
-    mask |= eye[None, :, :]
-    return mask.astype(np.float64)
-
-
-def _batch_keep_sets(predictors, x_l, batch, row_counts, cfg):
-    """Per-sample kept image indices from the batched layer-l activations.
-
-    ``row_counts[b]`` is the number of real (unpadded) rows sample b holds
-    in ``x_l``. The learned top-k path batches the predictor over a padded
-    image tensor of the lanes that have image tokens (a lane without any
-    keeps none, as in ``sparse_prefill``); other configurations fall back
-    to the per-sample selection rule on the same features.
-    """
-    max_rows = x_l.shape[1]
-    img_rows = [x_l[b, max_rows - row_counts[b]:
-                    max_rows - row_counts[b] + st.n_image]
-                for b, st in enumerate(batch.states)]
-    image_lanes = [b for b, r in enumerate(img_rows) if r.shape[0]]
-    if not (cfg.policy == "learned" and cfg.selection_mode == "topk"
-            and cfg.image_keep_rate < 1.0 and image_lanes):
-        return [select_image_keep(predictors, rows, cfg) for rows in img_rows]
-    img_padded, img_valid = left_pad([img_rows[b] for b in image_lanes])
-    decisions = image_decisions_batched(predictors, img_padded, img_valid)
-    keep_sets = [np.arange(0)] * batch.size
-    for i, b in enumerate(image_lanes):
-        rows = decisions[i, img_padded.shape[1] - img_rows[b].shape[0]:]
-        keep_sets[b] = select_topk_keep(rows, cfg.image_keep_rate)
-    return keep_sets
+    n = valid.shape[1]
+    mask = np.tri(n, dtype=bool) & valid[:, None, :]
+    mask |= np.eye(n, dtype=bool)
+    return mask
 
 
 def batch_sparse_prefill(model: Model, predictors: Predictors,
                          batch: PaddedBatch, cfg: SparsityConfig):
     """Left-padded batch-parallel sparse prefill.
 
-    Keeps floor(image_keep_rate * n_image_b) image tokens per sample via
-    top-k on the keep scores and re-pads survivors to the in-batch maximum.
-    Per-sample outputs match the sequential single-sample path.
+    Each lane keeps the image tokens ``sparse_prefill`` would keep for it
+    alone, and survivors are re-padded to the in-batch maximum. Returns
+    the (B, vocab) last-position logits and the per-lane keep sets.
     """
     cfg.validate(model.config.num_layers)
-    split = cfg.sparsify_layer
-    heads = model.config.num_heads
-    x, valid = left_pad([st.prefill_tokens() for st in batch.states])
-    mask = _padded_causal_mask(valid)[:, None]
-    for li in range(split):
-        x = layer_forward(model.layers[li], x, mask, heads)[0]
-    keep_sets = _batch_keep_sets(predictors, x, batch,
-                                 [st.n_prefill for st in batch.states], cfg)
-    survivor_rows = []
-    max_np = x.shape[1]
-    for b, st in enumerate(batch.states):
-        offset = max_np - st.n_prefill
-        survivor_rows.append(x[b, offset + _survivors(st, keep_sets[b])])
-    x, valid = left_pad(survivor_rows)
-    mask = _padded_causal_mask(valid)[:, None]
-    for li in range(split, model.config.num_layers):
-        x = layer_forward(model.layers[li], x, mask, heads)[0]
-    logits = _rms_norm(x[:, -1], model.final_norm_gain) @ model.lm_head
-    return logits, keep_sets
+    x, keep_sets, _ = _sparse_forward(model, predictors, batch.states, cfg, False)
+    return _logits_at(model, x[:, -1]), keep_sets
 
 
 def batch_sparse_decode(model: Model, predictors: Predictors,
@@ -475,7 +445,8 @@ def batch_sparse_decode(model: Model, predictors: Predictors,
     if any(st.n_output < 1 for st in batch.states):
         raise ContractViolation("batch decode: every sample needs output tokens")
     if mode == "no_cache":
-        return _batch_decode_no_cache(model, predictors, batch, cfg)
+        x = _sparse_forward(model, predictors, batch.states, cfg, True)[0]
+        return _logits_at(model, x[:, -1])
     return np.stack([_decode_lane_with_cache(model, predictors, st, cfg)
                      for st in batch.states])
 
@@ -489,26 +460,3 @@ def _decode_lane_with_cache(model, predictors, state, cfg):
         logits, _ = sparse_decode_with_cache(model, predictors, cache, admissions,
                                              state.output[t], state.n_prefill + t, cfg)
     return logits
-
-
-def _batch_decode_no_cache(model, predictors, batch, cfg):
-    split = cfg.sparsify_layer
-    heads = model.config.num_heads
-    x, valid = left_pad([st.all_tokens() for st in batch.states])
-    mask = _padded_causal_mask(valid)[:, None]
-    for li in range(split):
-        x = decoder_layer_forward(model.layers[li], x, mask, heads)
-    keep_sets = _batch_keep_sets(predictors, x, batch,
-                                 [st.total for st in batch.states], cfg)
-    survivor_rows = []
-    max_n = x.shape[1]
-    for b, st in enumerate(batch.states):
-        offset = max_n - st.total
-        out_rows = x[b, offset + st.n_prefill: offset + st.total]
-        flags = _output_flags(predictors, out_rows, cfg)
-        survivor_rows.append(x[b, offset + _survivors(st, keep_sets[b], flags)])
-    x, valid = left_pad(survivor_rows)
-    mask = _padded_causal_mask(valid)[:, None]
-    for li in range(split, model.config.num_layers):
-        x = decoder_layer_forward(model.layers[li], x, mask, heads)
-    return _rms_norm(x[:, -1], model.final_norm_gain) @ model.lm_head

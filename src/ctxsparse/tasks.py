@@ -20,9 +20,6 @@ branch to the "absent" one. The consequences:
 The keys:noise ratio is chosen so an ideal image predictor keeps exactly
 the configured image keep rate (3 of 15 at the 0.2 default).
 
-copy: text-only sequences whose output repeats the prompt payload, with two
-length buckets so batches fall on either side of the output-length gate.
-
 Targets are a deterministic function of (scene code, prompt, seed).
 """
 
@@ -120,29 +117,3 @@ class KeyedLookupTask:
 
     def eval_samples(self, rng, count: int) -> list:
         return [self.sample(rng) for _ in range(count)]
-
-
-class CopyTask:
-    """Output repeats the prompt payload; no image tokens."""
-
-    def __init__(self, vocab_size=64, short_len=6, long_len=12, feat_dim=32,
-                 seed=0):
-        if vocab_size <= 9 or short_len < 1 or long_len <= short_len:
-            raise ContractViolation("bad copy-task configuration")
-        self.vocab_size = vocab_size
-        self.lengths = (short_len, long_len)
-        self.feat_dim = feat_dim
-        del seed  # samples are driven entirely by the caller's rng
-
-    def sample(self, rng: np.random.Generator, length: int) -> Sample:
-        payload = rng.integers(8, self.vocab_size, size=length)
-        text = np.concatenate([[1], payload, [2]])
-        return Sample(np.zeros((0, self.feat_dim)), text.astype(np.int64),
-                      payload.astype(np.int64))
-
-    def training_batch(self, rng, batch_size: int) -> TrainBatch:
-        length = self.lengths[int(rng.integers(2))]
-        return _stack([self.sample(rng, length) for _ in range(batch_size)])
-
-    def eval_samples(self, rng, count: int) -> list:
-        return [self.sample(rng, self.lengths[i % 2]) for i in range(count)]

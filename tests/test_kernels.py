@@ -7,36 +7,6 @@ from ctxsparse import kernels
 from ctxsparse.errors import ContractViolation
 
 
-def test_matmul_identity():
-    rng = np.random.default_rng(0)
-    x = rng.normal(size=(3, 5))
-    assert np.array_equal(kernels.matmul(np.eye(3), x), x)
-
-
-def test_matmul_direct_arithmetic():
-    out = kernels.matmul([[1, 2], [3, 4]], [[0], [1]])
-    assert np.array_equal(out, [[2], [4]])
-
-
-def test_matmul_zero_case():
-    out = kernels.matmul(np.zeros((2, 3)), np.ones((3, 4)))
-    assert np.array_equal(out, np.zeros((2, 4)))
-
-
-def test_matmul_dim_mismatch():
-    with pytest.raises(ContractViolation):
-        kernels.matmul(np.ones((2, 3)), np.ones((2, 3)))
-
-
-def test_matmul_bit_identical_repeat():
-    rng = np.random.default_rng(1)
-    a = rng.normal(size=(17, 23))
-    b = rng.normal(size=(23, 9))
-    first = kernels.matmul(a, b)
-    second = kernels.matmul(a, b)
-    assert np.array_equal(first, second)
-
-
 def test_softmax_symmetry():
     out = kernels.softmax_rows([[0.0, 0.0]])
     assert np.allclose(out, [[0.5, 0.5]], atol=1e-15)

@@ -69,8 +69,6 @@ def test_output_decisions_single_matches_batched_row():
 def test_decisions_to_mask_examples():
     rows = np.array([[0.2, 0.8], [0.9, 0.1]])
     assert pr.decisions_to_mask(rows).tolist() == [1, 0]
-    zeros = np.zeros((3, 2))
-    assert pr.decisions_to_mask(zeros, force_keep_last=True).tolist() == [0, 0, 1]
     assert pr.decisions_to_mask(np.zeros((0, 2))).tolist() == []
 
 

@@ -296,6 +296,33 @@ def test_batch_of_one_matches_single():
     assert keep_sets[0].tolist() == ref_keep.tolist()
 
 
+@pytest.mark.parametrize("policy", ["learned", "random", "structure"])
+def test_single_is_a_batch_of_one_bit_for_bit(policy):
+    # 70 image + 4 text tokens: past one 64-row attention block
+    model, preds, state = setup(20, n_image=70, n_text=4)
+    preds.output_mlp_b[-1][1] = 0.0  # no keep bias: the learned flags vary
+    cfg = scfg(policy=policy)
+    logits, keep_sets = sp.batch_sparse_prefill(
+        model, preds, sp.PaddedBatch([state.copy()]), cfg)
+    ref, _, ref_keep = sp.sparse_prefill(model, preds, state, cfg)
+    assert np.array_equal(logits[0], ref)
+    assert np.array_equal(keep_sets[0], ref_keep)
+    for tok in (5, 17, 29, 41, 53, 65):
+        m.append_output(model, state, tok)
+    got = sp.batch_sparse_decode(model, preds, sp.PaddedBatch([state]), cfg,
+                                 mode="no_cache")
+    ref, ref_keep, ref_flags = sp.sparse_decode_no_cache(model, preds, state, cfg,
+                                                         return_decisions=True)
+    # some outputs dropped and some kept, so equal logits need equal flags
+    assert 0 < ref_flags[:-1].sum() < len(ref_flags) - 1
+    assert np.array_equal(got[0], ref)
+    assert np.array_equal(ref_keep, keep_sets[0])
+    # the same hidden row; BLAS may round the n-row and 1-row lm_head
+    # products differently in the last couple of ulps
+    gap = m.full_logits(model, state)[-1] - m.decode_step_no_cache(model, state)
+    assert np.abs(gap).max() <= 1e-12
+
+
 def test_pad_slots_get_exactly_zero_attention():
     valid = np.array([[False, False, True, True]])
     mask = sp._padded_causal_mask(valid)

@@ -63,3 +63,29 @@ def test_autodiff_image_predictor_matches_numpy_predictor():
     got = tr._image_predictor_t(params, ad.Tensor(hidden), preds.config.num_heads).data
     for b in range(3):
         assert np.abs(got[b] - image_decisions(preds, hidden[b])).max() <= 1e-12
+
+
+def test_sgd_momentum_steps():
+    model = m.make_model(CFG, seed=45)
+    preds = make_predictors(PredictorConfig(input_dim=64), seed=46)
+    cfg = tr.TrainConfig(optimizer="sgd", lr_model=0.25, lr_predictor=0.125,
+                         momentum=0.5)
+    opt = tr.make_optimizer(model, preds, cfg)
+    assert isinstance(opt, tr.SgdMomentum)
+    arrays = {"model.lm_head": model.lm_head, "predictor.output.proj": preds.output_proj}
+    untouched = {"model.token_emb": model.token_emb, "predictor.image.proj": preds.image_proj}
+    lrs = {"model.lm_head": cfg.lr_model, "predictor.output.proj": cfg.lr_predictor}
+    before = {name: arr.copy() for name, arr in {**arrays, **untouched}.items()}
+    rng = np.random.default_rng(47)
+    g1 = {name: rng.normal(size=arr.shape) for name, arr in arrays.items()}
+    opt.step(g1)
+    for name, arr in arrays.items():
+        assert np.array_equal(arr, before[name] - lrs[name] * g1[name])
+    after1 = {name: arr.copy() for name, arr in arrays.items()}
+    g2 = {name: rng.normal(size=arr.shape) for name, arr in arrays.items()}
+    opt.step(g2)
+    for name, arr in arrays.items():
+        velocity = cfg.momentum * -(lrs[name] * g1[name]) - lrs[name] * g2[name]
+        assert np.allclose(arr, after1[name] + velocity, rtol=0.0, atol=1e-15)
+    for name, arr in untouched.items():
+        assert np.array_equal(arr, before[name])
