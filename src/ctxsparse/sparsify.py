@@ -399,10 +399,6 @@ class PaddedBatch:
         if not self.states:
             raise ContractViolation("PaddedBatch: need at least one sample")
 
-    @property
-    def size(self):
-        return len(self.states)
-
 
 def _padded_causal_mask(valid: np.ndarray) -> np.ndarray:
     """Causal mask over left-padded rows: no attention into pad slots, and
