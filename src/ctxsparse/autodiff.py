@@ -144,9 +144,7 @@ class Tensor:
         return Tensor(np.log(self.data), ((self, lambda g, x=self.data: g / x),))
 
     def sigmoid(self):
-        x = self.data
-        t = np.exp(-np.abs(x))
-        out_data = np.where(x >= 0, 1.0 / (1.0 + t), t / (1.0 + t))
+        out_data = _sigmoid(self.data)
         return Tensor(out_data, ((self, lambda g, o=out_data: g * o * (1.0 - o)),))
 
     def abs(self):
@@ -178,13 +176,34 @@ class Tensor:
         inv = np.argsort(axes)
         return Tensor(out_data, ((self, lambda g, iv=tuple(inv): g.transpose(iv)),))
 
+    def swapaxes(self, a: int, b: int):
+        return Tensor(self.data.swapaxes(a, b), ((self, lambda g: g.swapaxes(a, b)),))
+
     def __getitem__(self, idx):
+        """numpy indexing. A basic index (ints, slices, ``...``, ``None``)
+        gives a view with no entry twice, so its backward assigns, and one
+        that views the whole array returns ``self``. Any other index may
+        repeat entries, and its backward accumulates with ``np.add.at``."""
         out_data = self.data[idx]
+        parts = idx if isinstance(idx, tuple) else (idx,)
+        basic = all(p is None or p is Ellipsis
+                    or (isinstance(p, (slice, int, np.integer)) and not isinstance(p, bool))
+                    for p in parts)
+        if basic and out_data.__array_interface__ == self.data.__array_interface__:
+            return self
         def vjp(g, sh=self.data.shape, ix=idx):
             full = np.zeros(sh)
-            np.add.at(full, ix, g)
+            if basic:
+                full[ix] = g
+            else:
+                np.add.at(full, ix, g)
             return full
         return Tensor(out_data, ((self, vjp),))
+
+
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    t = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + t), t / (1.0 + t))
 
 
 def _wrap(x) -> Tensor:
@@ -211,11 +230,13 @@ def concat(tensors, axis=0) -> Tensor:
     return Tensor(out_data, tuple(parents))
 
 
-def silu(x: Tensor) -> Tensor:
-    return x * x.sigmoid()
+def silu(x):
+    """x * sigmoid(x), on a Tensor or an array."""
+    return x * (x.sigmoid() if isinstance(x, Tensor) else _sigmoid(x))
 
 
-def rms_norm(x: Tensor, gain: Tensor, eps: float = 1e-6) -> Tensor:
+def rms_norm(x, gain, eps: float = 1e-6):
+    """RMS norm over the last axis times ``gain``, on Tensors or arrays."""
     scale = ((x * x).mean(axis=-1, keepdims=True) + eps) ** -0.5
     return x * scale * gain
 

@@ -13,10 +13,11 @@ no-cache decoding, dense or sparse, single or batched, are one layer loop
 in ``sparsify`` over left-padded lanes.
 One layer implementation, ``layer_forward``, serves every mode: prefill and
 no-cache decode run it over left-padded (B, N, d) token sets, cached decode
-over one new row with the cache as ``past_kv``, and the image predictor's
-blocks over whole token sets with no mask. It runs in blocks of query rows
-and skips the key columns the mask hides from a whole block, such as the
-upper triangle of a causal mask.
+over one new row with the cache as ``past_kv``, the image predictor's
+blocks over whole token sets with no mask, and training over
+``autodiff.Tensor`` rows with the masked-attention training mask. It runs
+in blocks of query rows and skips the key columns the mask hides from a
+whole block, such as the upper triangle of a causal mask.
 
 Positions are always the ORIGINAL positions assigned at embedding time, so
 removing tokens later never renumbers the survivors.
@@ -30,12 +31,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import autodiff as ad
 from . import kernels
 from .errors import CheckpointError, ContractViolation
 
 EOS_ID = 0  # reserved vocabulary id that terminates generation
 CHECKPOINT_VERSION = 1
-NORM_EPS = 1e-6
 # Query rows per block in layer_forward. A (4 heads x 64 rows x ~608 keys)
 # float64 score block is about 1.2 MB, which fits a 2 MB per-core L2 cache.
 # Median sparse_prefill of 576 + 32 tokens (default config, one BLAS
@@ -263,14 +264,7 @@ class KVCacheStore:
 # -- forward math -------------------------------------------------------------
 
 
-def _rms_norm(x: np.ndarray, gain: np.ndarray) -> np.ndarray:
-    scale = (np.mean(x * x, axis=-1, keepdims=True) + NORM_EPS) ** -0.5
-    return x * scale * gain
-
-
-def _silu(x: np.ndarray) -> np.ndarray:
-    t = np.exp(-np.abs(x))
-    return x * np.where(x >= 0, 1.0 / (1.0 + t), t / (1.0 + t))
+_rms_norm, _silu = ad.rms_norm, ad.silu  # on arrays too: one body, shared with training
 
 
 def causal_mask(n: int) -> np.ndarray:
@@ -295,12 +289,14 @@ def _query_blocks(mask, n: int, n_keys: int):
         return
     ends = np.full(n, n_keys)
     if mask is not None:
-        mask = np.asarray(mask)
-        mask_rows, mask_cols = ((1, 1) + mask.shape)[-2:]
-        if mask.ndim == 0 or mask_rows not in (1, n) or mask_cols not in (1, n_keys):
+        if not isinstance(mask, ad.Tensor):
+            mask = np.asarray(mask)
+        values = mask.data if isinstance(mask, ad.Tensor) else mask
+        mask_rows, mask_cols = ((1, 1) + values.shape)[-2:]
+        if values.ndim == 0 or mask_rows not in (1, n) or mask_cols not in (1, n_keys):
             yield slice(0, n), n_keys, mask
             return
-        vis = (mask != 0).reshape(-1, mask_rows, mask_cols).any(axis=0)
+        vis = (values != 0).reshape(-1, mask_rows, mask_cols).any(axis=0)
         last = np.argmax(vis[:, ::-1], axis=-1)
         ends[:] = np.where(vis.any(axis=-1), n_keys - last, 0)
     for r0 in range(0, n, _QUERY_BLOCK):
@@ -317,7 +313,7 @@ def _query_blocks(mask, n: int, n_keys: int):
 def layer_forward(layer: LayerWeights, x: np.ndarray, mask, num_heads: int,
                   past_kv=None, meter=None):
     """One pre-norm decoder layer: multi-head attention then FFN, both
-    residual. The one implementation behind every mode and path.
+    residual. The one implementation behind every mode, training included.
 
     ``x`` is (..., n, d). Its rows attend to the cached rows ``past_kv =
     (k, v)``, each (..., m, d), and then to themselves. ``mask`` broadcasts
@@ -336,7 +332,13 @@ def layer_forward(layer: LayerWeights, x: np.ndarray, mask, num_heads: int,
     over all keys and the mask is not read. ``meter`` still counts q @ k^T
     and probs @ v over the full key range, as the benchmark's analytic
     FLOP counts (``perfbench/costs.py``) do.
+    On ``autodiff.Tensor`` rows, weights and mask (training) it records the
+    tape, with tape softmax ops in place of the in-place kernels.
     """
+    tape = isinstance(x, ad.Tensor)
+    softmax = ad.softmax_lastdim if tape else kernels.softmax_rows
+    masked_softmax = ad.masked_softmax_lastdim if tape else kernels.masked_softmax
+    concat = ad.concat if tape else np.concatenate
     d = x.shape[-1]
     dh = d // num_heads
     normed = _rms_norm(x, layer.attn_norm_gain)
@@ -345,8 +347,8 @@ def layer_forward(layer: LayerWeights, x: np.ndarray, mask, num_heads: int,
     v = normed @ layer.w_v
     keys, vals = k, v
     if past_kv is not None:
-        keys = np.concatenate([past_kv[0], k], axis=-2)
-        vals = np.concatenate([past_kv[1], v], axis=-2)
+        keys = concat([past_kv[0], k], axis=-2)
+        vals = concat([past_kv[1], v], axis=-2)
 
     def heads(t):
         return t.reshape(*t.shape[:-1], num_heads, dh).swapaxes(-2, -3)
@@ -356,15 +358,15 @@ def layer_forward(layer: LayerWeights, x: np.ndarray, mask, num_heads: int,
     for rows, kmax, block_mask in _query_blocks(mask, x.shape[-2], keys.shape[-2]):
         scores = (q_h[..., rows, :] @ k_h[..., :kmax, :].swapaxes(-1, -2)) * dh ** -0.5
         if block_mask is None:
-            probs = kernels.softmax_rows(scores)
+            probs = softmax(scores)
         else:
-            probs = kernels.masked_softmax(scores, block_mask)
+            probs = masked_softmax(scores, block_mask)
         x_rows = x[..., rows, :]
         ctx = (probs @ v_h[..., :kmax, :]).swapaxes(-2, -3).reshape(x_rows.shape)
         attn_out = x_rows + ctx @ layer.w_o
         normed2 = _rms_norm(attn_out, layer.ffn_norm_gain)
         blocks.append(attn_out + _silu(normed2 @ layer.ffn_in) @ layer.ffn_out)
-    out = blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=-2)
+    out = blocks[0] if len(blocks) == 1 else concat(blocks, axis=-2)
     if meter is not None:
         rows, n_keys, f = x.size // d, keys.shape[-2], layer.ffn_in.shape[1]
         for shape in ((rows, d, d), (rows, d, d), (rows, d, d), (rows, d, d),

@@ -18,8 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
+from .autodiff import silu
 from .errors import ContractViolation
-from .model import LayerWeights, _silu, layer_forward
+from .model import LayerWeights, layer_forward
 
 
 @dataclass
@@ -104,11 +105,13 @@ def make_predictors(config: PredictorConfig, seed: int = 0) -> Predictors:
     return Predictors(config, np.random.default_rng(seed))
 
 
-def _decision_mlp(x: np.ndarray, ws, bs) -> np.ndarray:
+def _decision_mlp(x, ws, bs):
+    """Linear layers ``ws``, ``bs`` with SiLU between; on arrays, or on
+    ``autodiff.Tensor`` rows and weights in training."""
     for i, (w, b) in enumerate(zip(ws, bs)):
         x = x @ w + b
         if i < len(ws) - 1:
-            x = _silu(x)
+            x = silu(x)
     return x
 
 

@@ -97,7 +97,8 @@ class AdmissionRecord:
 class GenerationTrace:
     """Structured record of one generation run: tokens, image keep set,
     per-token admissions and stop reason; ``to_dict`` gives a
-    schema-versioned JSON-ready form."""
+    schema-versioned JSON-ready form. Admissions cover the tokens fed back
+    as input: every generated token but the last, which ends the run."""
     mode: str
     token_ids: list = field(default_factory=list)
     image_keep: list = field(default_factory=list)
@@ -364,7 +365,8 @@ def sparse_greedy_generate(model: Model, predictors: Predictors,
         if reason:
             trace.stop_reason = reason
             break
-        logits = step(token, position)
+        if len(trace.token_ids) < max_new_tokens:  # the last token is not fed back
+            logits = step(token, position)
     return trace
 
 

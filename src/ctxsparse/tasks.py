@@ -32,8 +32,6 @@ import numpy as np
 from .errors import ContractViolation
 from .training import TrainBatch
 
-TASK_KINDS = ("keyed-lookup", "copy")
-
 
 @dataclass
 class Sample:

@@ -7,6 +7,8 @@ layer (layers at or below it use the plain causal mask). Masked-out tokens
 still self-attend, so the loss can be computed at every output position,
 which is exactly what naive zeroing of dropped tokens breaks (that "hard
 drop" variant is kept behind a flag as a documented negative control).
+Layers and predictors run the inference code (``model.layer_forward``,
+``predictors._decision_mlp``) on ``autodiff.Tensor`` leaves.
 
 Discrete decisions are trained with a temperature-annealed Gumbel-Softmax
 relaxation and a straight-through estimator: the forward pass uses the hard
@@ -18,14 +20,14 @@ sequences shorter than ``min_output_len``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import autodiff as ad
 from .errors import ContractViolation
-from .model import Model, causal_mask
-from .predictors import Predictors
+from .model import LayerWeights, Model, causal_mask, layer_forward
+from .predictors import Predictors, _decision_mlp
 from .sparsify import SparsityConfig
 
 
@@ -130,45 +132,24 @@ def _mask_matrix_t(flags: ad.Tensor, n: int) -> ad.Tensor:
 # -- differentiable forward ------------------------------------------------------
 
 
-def _layer_forward_t(params, prefix: str, x: ad.Tensor, mask,
-                     num_heads: int) -> ad.Tensor:
-    """Differentiable ``model.layer_forward`` over (B, N, d) rows with the
-    weights ``params[prefix + name]``. ``mask`` broadcasts to the
-    (B, heads, N, N) scores; ``None`` means bidirectional attention."""
-    bsz, n, d = x.shape
-    dh = d // num_heads
-    def heads(t):
-        return t.reshape(bsz, n, num_heads, dh).transpose(0, 2, 1, 3)
-    normed = ad.rms_norm(x, params[prefix + "attn_norm_gain"])
-    q = heads(normed @ params[prefix + "w_q"])
-    k = heads(normed @ params[prefix + "w_k"])
-    v = heads(normed @ params[prefix + "w_v"])
-    scores = (q @ k.transpose(0, 1, 3, 2)) * dh ** -0.5
-    if mask is None:
-        probs = ad.softmax_lastdim(scores)
-    else:
-        probs = ad.masked_softmax_lastdim(scores, mask)
-    ctx = (probs @ v).transpose(0, 2, 1, 3).reshape(bsz, n, d)
-    x = x + ctx @ params[prefix + "w_o"]
-    normed2 = ad.rms_norm(x, params[prefix + "ffn_norm_gain"])
-    return x + ad.silu(normed2 @ params[prefix + "ffn_in"]) @ params[prefix + "ffn_out"]
+def _layer_weights_t(params, prefix: str) -> LayerWeights:
+    """The ``params[prefix + name]`` leaves as one layer's weights."""
+    return LayerWeights(**{f.name: params[prefix + f.name] for f in fields(LayerWeights)})
 
 
 def _image_predictor_t(params, x: ad.Tensor, num_heads: int) -> ad.Tensor:
     x = x @ params["image.proj"] + params["image.proj_bias"]
     for i in range(2):
-        x = _layer_forward_t(params, f"image.block{i}.", x, None, num_heads)
+        x = layer_forward(_layer_weights_t(params, f"image.block{i}."), x, None,
+                          num_heads)[0]
     return _mlp_t(params, "image", x)
 
 
 def _mlp_t(params, which: str, x: ad.Tensor) -> ad.Tensor:
-    i = 0
-    while f"{which}.mlp{i}.w" in params:
-        x = x @ params[f"{which}.mlp{i}.w"] + params[f"{which}.mlp{i}.b"]
-        if f"{which}.mlp{i + 1}.w" in params:
-            x = ad.silu(x)
-        i += 1
-    return x
+    """``predictors._decision_mlp`` on the ``{which}.mlp{i}.*`` leaves."""
+    layers = [i for i in range(len(params)) if f"{which}.mlp{i}.w" in params]
+    return _decision_mlp(x, [params[f"{which}.mlp{i}.w"] for i in layers],
+                         [params[f"{which}.mlp{i}.b"] for i in layers])
 
 
 def _output_predictor_t(params, x: ad.Tensor) -> ad.Tensor:
@@ -208,7 +189,8 @@ def training_forward(params, model_cfg, batch: TrainBatch, sparsity: SparsityCon
     x = x + pos
     tri = ad.constant(causal_mask(n_total)[None, None, :, :])
     for li in range(split):
-        x = _layer_forward_t(params, f"layers.{li}.", x, tri, model_cfg.num_heads)
+        x = layer_forward(_layer_weights_t(params, f"layers.{li}."), x, tri,
+                          model_cfg.num_heads)[0]
         if trace_hidden is not None:
             trace_hidden.append(x.data)
 
@@ -240,8 +222,8 @@ def training_forward(params, model_cfg, batch: TrainBatch, sparsity: SparsityCon
     else:
         mask_beyond = _mask_matrix_t(flags, n_total).reshape(bsz, 1, n_total, n_total)
     for li in range(split, model_cfg.num_layers):
-        x = _layer_forward_t(params, f"layers.{li}.", x, mask_beyond,
-                             model_cfg.num_heads)
+        x = layer_forward(_layer_weights_t(params, f"layers.{li}."), x, mask_beyond,
+                          model_cfg.num_heads)[0]
         if trace_hidden is not None:
             trace_hidden.append(x.data)
 
@@ -393,14 +375,7 @@ def training_step(model: Model, predictors: Predictors, batch: TrainBatch,
         prefix = "predictor." if name in pred_names else "model."
         grads[prefix + name] = leaf.grad
     optimizer.step(grads)
-    total = info["cross_entropy"] + lam * info["regularizer"]
-    return LossBreakdown(
-        cross_entropy=info["cross_entropy"],
-        regularizer=info["regularizer"],
-        total=total,
-        image_keep_fraction=info["image_keep_fraction"],
-        output_keep_fraction=info["output_keep_fraction"],
-    )
+    return LossBreakdown(total=info["cross_entropy"] + lam * info["regularizer"], **info)
 
 
 def run_training(model: Model, predictors: Predictors, task,
@@ -418,15 +393,7 @@ def run_training(model: Model, predictors: Predictors, task,
         breakdown = training_step(model, predictors, batch, train_cfg,
                                   sparsity, step, optimizer, noise_rng,
                                   random_mask_control=random_mask_control)
-        log.append({
-            "step": step,
-            "tau": tau_at(step, train_cfg),
-            "cross_entropy": breakdown.cross_entropy,
-            "regularizer": breakdown.regularizer,
-            "total": breakdown.total,
-            "image_keep_fraction": breakdown.image_keep_fraction,
-            "output_keep_fraction": breakdown.output_keep_fraction,
-        })
+        log.append({"step": step, "tau": tau_at(step, train_cfg), **vars(breakdown)})
     return log
 
 

@@ -54,6 +54,23 @@ def test_getitem_gather_grads():
     ad.gradcheck(lambda t: (t[idx] * t[idx]).sum(), [table], rng=rng)
 
 
+def test_getitem_basic_index_grads():
+    rng = np.random.default_rng(11)
+    x = leaf(rng, 6, 5, 4)
+    c = rng.normal(size=(1, 5, 4))
+    ad.gradcheck(lambda x: (x[::2, ::-1] ** 2.0).sum()
+                 + (x[None, 1] * ad.constant(c)).sum()
+                 + x[..., 2].exp().sum() + x[-1, 1:4:2].sigmoid().sum(),
+                 [x], rng=rng, probes_per_input=30)
+
+
+def test_getitem_whole_array_returns_same_tensor():
+    x = ad.Tensor(np.zeros((3, 4)))
+    assert x[...] is x and x[:] is x and x[..., 0:4] is x and x[:, :] is x
+    for part in (x[::-1], x[:, :3], x[None], x[np.arange(3)], x[[0, 1, 2]]):
+        assert part is not x
+
+
 def test_concat_grads():
     rng = np.random.default_rng(5)
     a, b = leaf(rng, 2, 3), leaf(rng, 4, 3)

@@ -458,6 +458,31 @@ def test_generation_stop_reasons():
     assert sp.sparse_greedy_generate(model, preds, state, cfg, 5).stop_reason == "eos"
 
 
+def test_generation_makes_one_step_per_fed_back_token(monkeypatch):
+    model, preds, state = setup(25)  # no EOS within 9 tokens
+    cfg = scfg()
+    modes = ("no_cache", "with_cache")
+    longer = {mode: sp.sparse_greedy_generate(model, preds, state, cfg, 9, mode=mode)
+              for mode in modes}
+    dense = {mode: m.greedy_generate(model, state, 9, mode=mode) for mode in modes}
+    assert all(t.stop_reason == "max_new_tokens" for t in longer.values())
+    steps = []
+    for name in ("sparse_decode_no_cache", "sparse_decode_with_cache"):
+        step = getattr(sp, name)
+        monkeypatch.setattr(sp, name, lambda *a, step=step, **kw: steps.append(1) or step(*a, **kw))
+    for n in (1, 6):
+        for mode in modes:
+            steps.clear()
+            trace = sp.sparse_greedy_generate(model, preds, state, cfg, n, mode=mode)
+            assert len(steps) == n - 1
+            assert trace.token_ids == longer[mode].token_ids[:n]
+            assert [r.position for r in trace.admissions] == \
+                list(range(state.n_prefill, state.n_prefill + n - 1))
+            steps.clear()
+            assert m.greedy_generate(model, state, n, mode=mode) == dense[mode][:n]
+            assert len(steps) == n - 1
+
+
 def test_sparse_greedy_generate_rejects_negative_max_new_tokens():
     model, preds, state = setup(23)
     for mode in ("no_cache", "with_cache"):

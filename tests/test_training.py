@@ -3,6 +3,7 @@ import numpy as np
 from ctxsparse import autodiff as ad
 from ctxsparse import model as m
 from ctxsparse import sparsify as sp
+from ctxsparse import tasks
 from ctxsparse import training as tr
 from ctxsparse.predictors import PredictorConfig, image_decisions, make_predictors
 
@@ -89,3 +90,73 @@ def test_sgd_momentum_steps():
         assert np.allclose(arr, after1[name] + velocity, rtol=0.0, atol=1e-15)
     for name, arr in untouched.items():
         assert np.array_equal(arr, before[name])
+
+
+def test_training_forward_gradcheck_past_one_query_block():
+    # 60 image + 4 text + 6 output rows: layer_forward runs two query
+    # blocks, joins them with ad.concat and slices the Tensor mask per block
+    cfg = m.ModelConfig(num_layers=2, hidden_dim=8, num_heads=2, ffn_dim=16,
+                        vocab_size=16, max_seq_len=80, image_feature_dim=4)
+    model = m.make_model(cfg, seed=48)
+    rng = np.random.default_rng(49)
+    batch = tr.TrainBatch(rng.normal(size=(2, 60, 4)), rng.integers(1, 16, size=(2, 4)),
+                          rng.integers(1, 16, size=(2, 6)))
+    masks = ((rng.random((2, 60)) < 0.3).astype(np.float64),
+             np.array([[1.0, 0, 1, 1, 0, 1], [0, 1, 1, 0, 1, 1]]))
+    names = list(model.parameters())
+    leaves = [ad.Tensor(arr) for arr in model.parameters().values()]
+    sparsity = sp.SparsityConfig(sparsify_layer=1)
+
+    def loss(*tensors):
+        return tr.training_forward(dict(zip(names, tensors)), cfg, batch, sparsity,
+                                   tr.TrainConfig(), tau=1.0, forced_masks=masks)[0]
+    ad.gradcheck(loss, leaves, rng=rng)
+
+    # the flags' adjoint through the per-block mask slices
+    flags = ad.Tensor(rng.uniform(0.2, 1.0, size=(2, 70)))
+    x = ad.Tensor(rng.normal(size=(2, 70, 8)))
+    layer = model.layers[1]
+    ad.gradcheck(lambda flags, x: (m.layer_forward(
+        layer, x, tr._mask_matrix_t(flags, 70).reshape(2, 1, 70, 70), 2)[0] ** 2.0).sum(),
+        [flags, x], rng=rng, probes_per_input=20)
+
+
+def tiny_training_run(random_mask_control=False):
+    """Three ``run_training`` steps of a small keyed-lookup model. Returns
+    the log, the config and every weight (by optimizer name) before and
+    after."""
+    task = tasks.KeyedLookupTask()
+    cfg = m.ModelConfig(num_layers=2, hidden_dim=32, num_heads=2, ffn_dim=64,
+                        vocab_size=task.min_vocab, max_seq_len=64,
+                        image_feature_dim=task.feat_dim)
+    model = m.make_model(cfg, seed=50)
+    preds = make_predictors(PredictorConfig(input_dim=32), seed=51)
+    train_cfg = tr.TrainConfig(total_steps=3, batch_size=2, min_output_len=0,
+                               tau_initial=2.0, seed=52)
+
+    def weights():
+        return {name: arr.copy() for name, arr in tr._grouped_arrays(model, preds)}
+    before = weights()
+    log = tr.run_training(model, preds, task, train_cfg,
+                          sp.SparsityConfig(sparsify_layer=1),
+                          random_mask_control=random_mask_control)
+    return log, train_cfg, before, weights()
+
+
+def test_run_training_is_reproducible_and_logs_each_step():
+    log, train_cfg, _, after = tiny_training_run()
+    again, _, _, after_again = tiny_training_run()
+    assert log == again
+    assert all(np.array_equal(arr, after_again[name]) for name, arr in after.items())
+    keys = {"step", "tau", "cross_entropy", "regularizer", "total",
+            "image_keep_fraction", "output_keep_fraction"}
+    assert [record["step"] for record in log] == list(range(train_cfg.total_steps))
+    assert all(set(record) == keys for record in log)
+    assert all(np.isfinite(list(record.values())).all() for record in log)
+    assert log[0]["tau"] == train_cfg.tau_initial
+
+
+def test_run_training_random_control_freezes_predictors():
+    _, _, before, after = tiny_training_run(random_mask_control=True)
+    moved = {name for name, arr in before.items() if not np.array_equal(arr, after[name])}
+    assert moved and all(name.startswith("model.") for name in moved)
