@@ -36,6 +36,10 @@ class Tensor:
         self.grad = None
         # parents: tuple of (Tensor, vjp) where vjp maps out-grad -> parent-grad
         self._parents = tuple(parents)
+        # a result needs a gradient only if some parent does, so backward
+        # never runs vjps into subgraphs that end at constants alone
+        if self._parents:
+            requires_grad = requires_grad and any(p.requires_grad for p, _ in self._parents)
         self.requires_grad = requires_grad
 
     @property

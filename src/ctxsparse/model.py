@@ -13,11 +13,13 @@ no-cache decoding, dense or sparse, single or batched, are one layer loop
 in ``sparsify`` over left-padded lanes.
 One layer implementation, ``layer_forward``, serves every mode: prefill and
 no-cache decode run it over left-padded (B, N, d) token sets, cached decode
-over one new row with the cache as ``past_kv``, the image predictor's
-blocks over whole token sets with no mask, and training over
-``autodiff.Tensor`` rows with the masked-attention training mask. It runs
-in blocks of query rows and skips the key columns the mask hides from a
-whole block, such as the upper triangle of a causal mask.
+over one new row with a ``KVCacheStore.slot`` as ``past_kv`` (the row's
+K/V are written into the store's spare capacity and attended in place, so
+a step copies no cached row), the image predictor's blocks over whole
+token sets with no mask, and training over ``autodiff.Tensor`` rows with
+the masked-attention training mask. It runs in blocks of query rows and
+skips the key columns the mask hides from a whole block, such as the upper
+triangle of a causal mask.
 
 Positions are always the ORIGINAL positions assigned at embedding time, so
 removing tokens later never renumbers the survivors.
@@ -172,14 +174,31 @@ class SequenceState:
                              self.output.copy(), list(self.output_ids))
 
 
+class KVSlot(tuple):
+    """``(k, v)`` views over one cache layer's committed rows followed by
+    free rows. ``layer_forward`` given a slot as ``past_kv`` writes its new
+    rows' k, v into the free tail in place and attends over the whole view,
+    so no cached row is copied."""
+
+    __slots__ = ()
+
+
 class KVCacheStore:
     """Per-layer retained key/value activations with their original positions.
 
-    Single-owner mutable state: one generation stream per store. Buffers
-    grow by doubling so appends stay amortized O(1) over long generations.
-    ``append`` writes one row; ``extend`` writes a block of rows and is
-    atomic: it checks the whole block first, so a rejected block leaves the
-    layer exactly as it was.
+    Single-owner mutable state: one generation stream per store. Each layer
+    owns a preallocated K and V buffer whose first ``length(layer)`` rows
+    are committed; the rest is spare capacity. Every write goes through
+    that capacity and lands once, in place: ``slot`` hands out views over
+    the committed rows plus free rows (growing the buffers by doubling, so
+    writes stay amortized O(1) over long generations), the caller writes
+    the free rows, and ``commit`` keeps them by advancing the length. Rows
+    written but not committed are not part of the cache, and the next slot
+    of the layer overwrites them. ``append`` (one row) and ``extend`` (a
+    block) are slot, write, commit; ``extend`` checks the whole block first,
+    so a rejected block leaves the layer exactly as it was. Views from
+    ``stacked`` never change: writes go past them, and growth moves the
+    layer to new buffers.
     """
 
     def __init__(self, num_layers: int):
@@ -189,7 +208,7 @@ class KVCacheStore:
         self._n = [0] * num_layers
         self.positions = [[] for _ in range(num_layers)]
 
-    def _ensure_capacity(self, layer: int, dim: int, rows: int = 1):
+    def _ensure_capacity(self, layer: int, dim: int, rows: int):
         """Make room for ``rows`` more rows, doubling from 16 as needed."""
         n = self._n[layer]
         cap = 0 if self._k[layer] is None else self._k[layer].shape[0]
@@ -204,7 +223,8 @@ class KVCacheStore:
                 grown[:n] = store[layer][:n]
             store[layer] = grown
 
-    def _check_order(self, layer: int, position: int):
+    def check_position(self, layer: int, position: int):
+        """Raise unless ``position`` lies past the layer's last cached one."""
         pos = self.positions[layer]
         if pos and position <= pos[-1]:
             raise ContractViolation(
@@ -212,20 +232,43 @@ class KVCacheStore:
                 f"{position} <= {pos[-1]}"
             )
 
+    def slot(self, layer: int, width: int, rows: int = 1) -> KVSlot:
+        """Views over the layer's committed rows plus ``rows`` free rows of
+        width ``width`` past them, for ``layer_forward`` to write in place."""
+        if self._k[layer] is not None and self._k[layer].shape[1] != width:
+            raise ContractViolation(
+                f"cache block width {width} != layer width "
+                f"{self._k[layer].shape[1]}")
+        self._ensure_capacity(layer, width, rows)
+        end = self._n[layer] + rows
+        return KVSlot((self._k[layer][:end], self._v[layer][:end]))
+
+    def commit(self, layer: int, positions: list):
+        """Keep the first ``len(positions)`` free rows of the layer's last
+        slot, at these original positions (ints, strictly increasing and
+        past the last cached one)."""
+        if not positions:
+            return
+        if any(b <= a for a, b in zip(positions, positions[1:])):
+            raise ContractViolation(
+                f"cache block positions at layer {layer} are not increasing")
+        self.check_position(layer, positions[0])
+        n = self._n[layer] + len(positions)
+        if self._k[layer] is None or n > self._k[layer].shape[0]:
+            raise ContractViolation(
+                f"cache commit of {len(positions)} rows at layer {layer} "
+                f"exceeds its slot")
+        self._n[layer] = n
+        self.positions[layer].extend(positions)
+
     def append(self, layer: int, k: np.ndarray, v: np.ndarray, position: int):
-        self._check_order(layer, position)
-        self._ensure_capacity(layer, k.shape[-1])
-        n = self._n[layer]
-        self._k[layer][n] = k
-        self._v[layer][n] = v
-        self._n[layer] = n + 1
-        self.positions[layer].append(position)
+        self.extend(layer, k[None], v[None], [position])
 
     def extend(self, layer: int, k: np.ndarray, v: np.ndarray, positions):
         """Write rows ``k[i]``, ``v[i]`` at ``positions[i]`` in one copy.
 
         Positions must increase strictly, within the block and past the
-        last cached one. Nothing is written unless the whole block is valid.
+        last cached one. Nothing is kept unless the whole block is valid.
         """
         positions = np.asarray(positions, dtype=np.int64)
         if k.ndim != 2 or k.shape != v.shape or positions.shape != k.shape[:1]:
@@ -235,20 +278,10 @@ class KVCacheStore:
         n = positions.size
         if n == 0:
             return
-        if self._k[layer] is not None and self._k[layer].shape[1] != k.shape[1]:
-            raise ContractViolation(
-                f"cache block width {k.shape[1]} != layer width "
-                f"{self._k[layer].shape[1]}")
-        if (np.diff(positions) <= 0).any():
-            raise ContractViolation(
-                f"cache block positions at layer {layer} are not increasing")
-        self._check_order(layer, int(positions[0]))
-        self._ensure_capacity(layer, k.shape[1], n)
-        start = self._n[layer]
-        self._k[layer][start:start + n] = k
-        self._v[layer][start:start + n] = v
-        self._n[layer] = start + n
-        self.positions[layer].extend(positions.tolist())
+        keys, vals = self.slot(layer, k.shape[1], n)
+        keys[-n:] = k
+        vals[-n:] = v
+        self.commit(layer, positions.tolist())
 
     def length(self, layer: int) -> int:
         return self._n[layer]
@@ -315,9 +348,18 @@ def layer_forward(layer: LayerWeights, x: np.ndarray, mask, num_heads: int,
     """One pre-norm decoder layer: multi-head attention then FFN, both
     residual. The one implementation behind every mode, training included.
 
-    ``x`` is (..., n, d). Its rows attend to the cached rows ``past_kv =
-    (k, v)``, each (..., m, d), and then to themselves. ``mask`` broadcasts
-    to the (..., heads, n, m + n) scores (e.g. an (n, n) causal mask, a
+    ``x`` is (..., n, d). Its rows attend to m cached rows and then to
+    themselves. ``past_kv`` takes two forms:
+
+    - a plain pair ``(k, v)`` of the m cached rows, each (..., m, d): the
+      rows' own k, v are concatenated after them (a copy of the cache;
+      this form also runs on ``autodiff.Tensor`` pairs);
+    - a ``KVSlot`` from ``KVCacheStore.slot``, each (..., m + n, d): the
+      rows' own k, v are written into its last n rows in place, and the
+      rows attend over the slot views where they lie, copying nothing.
+
+    Both give the same values bit for bit. ``mask`` broadcasts to the
+    (..., heads, n, m + n) scores (e.g. an (n, n) causal mask, a
     (B, 1, n, n) padded one, or (B, 1, 1, m + n) key validity); ``None``
     means every key is visible. Returns the output, shaped like ``x``, and
     the rows' own (k, v) projections for the cache.
@@ -346,7 +388,11 @@ def layer_forward(layer: LayerWeights, x: np.ndarray, mask, num_heads: int,
     k = normed @ layer.w_k
     v = normed @ layer.w_v
     keys, vals = k, v
-    if past_kv is not None:
+    if isinstance(past_kv, KVSlot):
+        keys, vals = past_kv
+        keys[..., keys.shape[-2] - k.shape[-2]:, :] = k
+        vals[..., vals.shape[-2] - v.shape[-2]:, :] = v
+    elif past_kv is not None:
         keys = concat([past_kv[0], k], axis=-2)
         vals = concat([past_kv[1], v], axis=-2)
 
@@ -474,17 +520,22 @@ def attend_cached(layer: LayerWeights, token: np.ndarray, cached_k: np.ndarray,
                   cached_v: np.ndarray, num_heads: int):
     """Single-token attention over cached K/V plus the token's own K/V.
 
-    Returns the layer output row and the token's (k, v) projections.
+    ``cached_k``, ``cached_v`` are the two views of a one-row
+    ``KVCacheStore.slot``: the m committed rows and one free row, (m + 1, d)
+    each. The token's own k, v are written into the free row in place, and
+    the token attends over all m + 1 rows; whether the row stays in the
+    cache is the caller's ``commit``. Returns the layer output row and the
+    token's (k, v) projections.
     """
     out, k, v = layer_forward(layer, token[None], None, num_heads,
-                              past_kv=(cached_k, cached_v))
+                              past_kv=KVSlot((cached_k, cached_v)))
     return out[0], k[0], v[0]
 
 
 def decode_step_with_cache(model: Model, cache: KVCacheStore,
                            last_token: np.ndarray, position: int) -> np.ndarray:
-    """One cached decode step: append the token's K/V per layer, attend over
-    cache plus self, return next-token logits."""
+    """One cached decode step: write the token's K/V into each layer's
+    cache, attend over cache plus self, return next-token logits."""
     from .sparsify import sparse_decode_with_cache
 
     return sparse_decode_with_cache(model, None, cache, [], last_token, position,

@@ -17,7 +17,10 @@ and batched, all run ``_sparse_forward``, one loop over the layers of
 left-padded (B, N, d) lanes in which each lane makes its keep decisions at
 layer l from its own rows. A single sequence is a batch of one, with no
 padding. Cached decoding runs one new row per step through
-``attend_cached``.
+``attend_cached``: at each layer the row's K/V are written once, in place,
+into the free row of a ``KVCacheStore.slot``, the row attends over the
+slot's views, and admission is whether ``commit`` then advances that
+layer's length. No step copies the cache.
 
 Dense inference is the case l = 0 with both keep rates at 1: nothing is
 dropped, no predictor is consulted, and ``model.prefill``,
@@ -293,28 +296,30 @@ def sparse_decode_with_cache(model: Model, predictors: Predictors,
                              cfg: SparsityConfig):
     """One cached decoding step with online KV admission.
 
-    The current token always attends over cache plus its own K/V at every
-    layer. Its layer-l feature decides admission: if rejected, its K/V are
-    appended only for layers <= l, and the decision is recorded once and
-    shared by all deeper layers. Returns (logits, admitted flag).
+    At every layer the current token's K/V are written once, in place, into
+    the free row of a ``cache.slot`` past the committed rows, and the token
+    attends over the slot views: the cached rows plus its own, with no copy
+    of the cache. Its layer-l feature decides admission. An admitted row
+    is committed at every layer; a rejected one only at layers < l, and at
+    the deeper layers it stays past the length, where the next step
+    overwrites it. The decision is recorded once and shared by all deeper
+    layers. The step is atomic on a bad ``position``: it is checked against
+    every layer before any runs, so a conflict raises ``ContractViolation``
+    with the cache unchanged. Returns (logits, admitted flag).
     """
     cfg.validate(model.config.num_layers)
+    for li in range(model.config.num_layers):
+        cache.check_position(li, position)
     split = cfg.sparsify_layer
     heads = model.config.num_heads
     x = last_token
     admitted = True
     for li, layer in enumerate(model.layers):
-        if cache.positions[li] and position <= cache.positions[li][-1]:
-            raise ContractViolation(
-                f"decode position {position} conflicts with cache at layer {li}"
-            )
         if li == split:
             admitted = bool(_output_flags(predictors, x[None], cfg, len(admissions))[0])
-        ck, cv = cache.stacked(li)
-        out, k_self, v_self = attend_cached(layer, x, ck, cv, heads)
+        x = attend_cached(layer, x, *cache.slot(li, x.shape[-1]), heads)[0]
         if li < split or admitted:
-            cache.append(li, k_self, v_self, position)
-        x = out
+            cache.commit(li, [position])
     admissions.append(AdmissionRecord(position=position, admitted=admitted,
                                       step=len(admissions)))
     return _logits_at(model, x), admitted

@@ -148,3 +148,16 @@ def test_backward_accumulates_shared_subgraph():
     y = x * x + x
     y.backward()
     assert x.grad == pytest.approx(5.0)
+
+
+def test_ops_over_constants_need_no_gradient():
+    rng = np.random.default_rng(9)
+    w = leaf(rng, 3)
+    c = ad.constant(rng.normal(size=3))
+    shifted = -c * 2.0 + 1.0  # constants only
+    assert not shifted.requires_grad
+    loss = (w * shifted + (w - c).exp()).sum()
+    assert loss.requires_grad
+    loss.backward()
+    assert shifted.grad is None and c.grad is None
+    assert np.allclose(w.grad, shifted.data + np.exp(w.data - c.data))

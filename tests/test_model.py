@@ -475,6 +475,51 @@ def test_cache_extend_rejects_bad_order_and_leaves_cache_unchanged():
     assert cache_snapshot(cache, 0)[2:] == before[2:]
 
 
+def test_layer_forward_on_slot_equals_plain_pair_bit_for_bit():
+    model = toy_model(8)
+    layer = model.layers[1]
+    x = np.random.default_rng(13).normal(size=(9, 64))
+    for n in (1, 3):
+        past = m._project_kv(layer, x[:9 - n], 4)
+        mask = None if n == 1 else m.causal_mask(9)[9 - n:]
+        cache = m.KVCacheStore(1)
+        cache.extend(0, *past, np.arange(9 - n))
+        slot = cache.slot(0, 64, n)
+        assert isinstance(slot, m.KVSlot) and slot[0].shape == (9, 64)
+        plain = m.layer_forward(layer, x[9 - n:], mask, 4, past_kv=past)
+        in_place = m.layer_forward(layer, x[9 - n:], mask, 4, past_kv=slot)
+        for a, b in zip(plain, in_place):
+            assert np.array_equal(a, b)
+        # the new rows went into the free tail, which is not kept until commit
+        assert np.array_equal(slot[0][9 - n:], plain[1])
+        assert np.array_equal(slot[1][9 - n:], plain[2])
+        assert cache.length(0) == 9 - n
+        cache.commit(0, list(range(9 - n, 9)))
+        assert np.array_equal(cache.stacked(0)[0], np.concatenate([past[0], plain[1]]))
+
+
+@pytest.mark.parametrize("n_prompt", [15, 16, 17])
+def test_cached_step_leaves_earlier_stacked_views_unchanged(n_prompt):
+    """A step writes past every view ``stacked`` gave out, and growing the
+    capacity (16 -> 32 on the step after a 16-row prefill) moves the layer
+    to new buffers instead of touching the old ones."""
+    model = toy_model(9)
+    state = toy_state(model, 9, n_image=n_prompt - 4, n_text=4)
+    logits, cache = m.prefill(model, state)
+    position = state.n_prefill
+    for token in (int(np.argmax(logits)) or 1, 7):
+        views = [cache.stacked(li) for li in range(cache.num_layers)]
+        copies = [(k.copy(), v.copy()) for k, v in views]
+        vec = m.embed_output_token(model, token, position)
+        m.decode_step_with_cache(model, cache, vec, position)
+        position += 1
+        for li, ((k, v), (k0, v0)) in enumerate(zip(views, copies)):
+            assert np.array_equal(k, k0) and np.array_equal(v, v0)
+            k_now, v_now = cache.stacked(li)
+            assert np.array_equal(k_now[:-1], k0) and np.array_equal(v_now[:-1], v0)
+    assert cache.lengths() == [n_prompt + 2] * model.config.num_layers
+
+
 # -- checkpoint defects ------------------------------------------------------------
 
 

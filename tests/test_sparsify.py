@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from ctxsparse import model as m
 from ctxsparse import sparsify as sp
@@ -202,6 +204,76 @@ def test_current_token_participates_even_if_rejected():
         model, preds, cache2, [], vec, state.n_prefill,
         scfg(output_keep_rate=1.0))
     assert np.abs(got - got2).max() <= 1e-12
+
+
+def layer_snapshot(cache, li):
+    k, v = cache.stacked(li)
+    return k.copy(), v.copy(), list(cache.positions[li]), cache.length(li)
+
+
+def assert_same_layer(a, b):
+    assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+    assert a[2:] == b[2:]
+
+
+def test_rejected_row_is_not_kept_and_the_next_admitted_row_overwrites_it(monkeypatch):
+    model, preds, state = setup(15)
+    cfg = scfg(policy="structure")  # admits output tokens 0, 2, 4, ...
+    logits, cache, _ = sp.sparse_prefill(model, preds, state, cfg)
+    written = []
+    attend = sp.attend_cached
+    monkeypatch.setattr(sp, "attend_cached",
+                        lambda *a: written.append(attend(*a)) or written[-1])
+    admissions, position = [], state.n_prefill
+
+    def step(token):
+        nonlocal position
+        written.clear()
+        vec = m.embed_output_token(model, token, position)
+        position += 1
+        return sp.sparse_decode_with_cache(model, preds, cache, admissions, vec,
+                                           position - 1, cfg)[1]
+
+    assert step(5)
+    before = [layer_snapshot(cache, li) for li in range(4)]
+    assert not step(6)
+    for li in range(2):
+        assert cache.length(li) == before[li][3] + 1
+    for li in range(2, 4):
+        assert_same_layer(layer_snapshot(cache, li), before[li])
+    assert step(7)
+    for li in range(2, 4):
+        k, v = cache.stacked(li)
+        old = before[li][3]
+        assert cache.length(li) == old + 1 and cache.positions[li][-1] == position - 1
+        assert np.array_equal(k[:old], before[li][0]) and np.array_equal(v[:old], before[li][1])
+        assert np.array_equal(k[old], written[li][1]) and np.array_equal(v[old], written[li][2])
+
+
+def test_cached_step_with_conflicting_position_leaves_cache_unchanged():
+    model, preds, state = setup(16)
+    cfg = scfg()
+    _, cache, _ = sp.sparse_prefill(model, preds, state, cfg)
+    position = state.n_prefill
+    # a row at a later position in the deepest layer only: the step's
+    # position conflicts there and nowhere else
+    k, v = cache.stacked(3)
+    cache.extend(3, k[-1:] + 1.0, v[-1:] + 1.0, [position + 1])
+    before = [layer_snapshot(cache, li) for li in range(4)]
+    vec = m.embed_output_token(model, 5, position)
+    for bad in (position, position + 1, 0):
+        with pytest.raises(ContractViolation):
+            sp.sparse_decode_with_cache(model, preds, cache, [], vec, bad, cfg)
+        for li in range(4):
+            assert_same_layer(layer_snapshot(cache, li), before[li])
+    vec = m.embed_output_token(model, 5, position + 2)
+    logits, admitted = sp.sparse_decode_with_cache(model, preds, cache, [], vec,
+                                                   position + 2, cfg)
+    assert np.isfinite(logits).all()
+    for li in range(4):
+        grew = li < 2 or admitted
+        assert cache.length(li) == before[li][3] + grew
+        assert cache.positions[li][-1] == (position + 2 if grew else before[li][2][-1])
 
 
 @pytest.mark.parametrize("policy", ["learned", "random", "structure"])
@@ -490,3 +562,42 @@ def test_sparse_greedy_generate_rejects_negative_max_new_tokens():
             sp.sparse_greedy_generate(model, preds, state, scfg(), -3, mode=mode)
         with pytest.raises(ContractViolation, match="max_new_tokens"):
             m.greedy_generate(model, state, -3, mode=mode)
+
+
+SMALL = m.ModelConfig(num_layers=3, hidden_dim=32, num_heads=4, ffn_dim=64,
+                      vocab_size=48, max_seq_len=64, image_feature_dim=16)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(seed=hs.integers(0, 2 ** 16), n_image=hs.integers(0, 16), n_text=hs.integers(1, 5),
+       layer=hs.integers(0, SMALL.num_layers - 1), image_keep=hs.floats(0.1, 1.0),
+       output_keep=hs.floats(0.1, 1.0), policy=hs.sampled_from(sp.POLICIES),
+       selection=hs.sampled_from(sp.SELECTION_MODES), new_tokens=hs.integers(1, 8))
+def test_cached_and_no_cache_generation_agree(seed, n_image, n_text, layer, image_keep,
+                                              output_keep, policy, selection, new_tokens):
+    model = m.make_model(SMALL, seed=seed)
+    preds = make_predictors(PredictorConfig(input_dim=SMALL.hidden_dim), seed=seed + 1)
+    for arr in (preds.image_mlp_b[-1], preds.output_mlp_b[-1]):
+        arr[1] = 0.0  # no keep bias: the learned decisions vary
+    rng = np.random.default_rng(seed + 2)
+    state = m.embed_inputs(model, rng.normal(size=(n_image, SMALL.image_feature_dim)),
+                           rng.integers(1, SMALL.vocab_size, size=n_text))
+    cfg = sp.SparsityConfig(sparsify_layer=layer, image_keep_rate=image_keep,
+                            output_keep_rate=output_keep, selection_mode=selection,
+                            policy=policy, policy_seed=seed)
+    runs = []
+    for mode in ("no_cache", "with_cache"):
+        try:
+            runs.append(sp.sparse_greedy_generate(model, preds, state, cfg, new_tokens,
+                                                  mode=mode))
+        except ContractViolation as exc:  # e.g. a top-k keep count of 0
+            runs.append(str(exc))
+    a, b = runs
+    if isinstance(a, str) or isinstance(b, str):
+        assert a == b
+        return
+    assert a.token_ids == b.token_ids
+    assert a.image_keep == b.image_keep
+    assert a.stop_reason == b.stop_reason
+    assert [(r.position, r.admitted, r.step) for r in a.admissions] == \
+        [(r.position, r.admitted, r.step) for r in b.admissions]
