@@ -117,8 +117,11 @@ class Tensor:
         return _wrap(other) + (-self)
 
     def __truediv__(self, other):
-        other = _wrap(other)
-        return self * other ** -1.0
+        if isinstance(other, (int, float, np.number)):
+            # a true division, as ndarray.mean does: x * (1 / n) differs
+            # from x / n in the last bit unless n is a power of two
+            return Tensor(self.data / other, ((self, lambda g: g / other),))
+        return self * _wrap(other) ** -1.0
 
     def __rtruediv__(self, other):
         return _wrap(other) * self ** -1.0
@@ -169,7 +172,7 @@ class Tensor:
         n = self.data.size if axis is None else np.prod(
             [self.data.shape[a] for a in (axis if isinstance(axis, tuple) else (axis,))]
         )
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / float(n))
+        return self.sum(axis=axis, keepdims=keepdims) / int(n)
 
     def reshape(self, *shape):
         out_data = self.data.reshape(*shape)
@@ -206,8 +209,25 @@ class Tensor:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    t = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + t), t / (1.0 + t))
+    """Logistic sigmoid as ``exp(min(x, 0)) / (1 + exp(-|x|))``.
+
+    Bit for bit the branch form ``1 / (1 + t)`` for x >= 0 and
+    ``t / (1 + t)`` for x < 0, with ``t = exp(-|x|)``, on every non-NaN
+    float64, ±0, ±inf and |x| large enough for ``t`` to underflow to 0
+    included: exp(0) is exactly 1, and for x < 0, min(x, 0) is exactly
+    -|x|. Neither exp can overflow, so no floating-point warning is
+    raised. No branch is computed and thrown away: two float64 buffers of
+    ``x``'s shape are filled in place, and ``x`` is never written.
+    """
+    # fresh out= buffers keep even 0-d input an array for the in-place steps
+    den = np.abs(x, out=np.empty_like(x, dtype=np.float64))
+    np.negative(den, out=den)
+    np.exp(den, out=den)
+    den += 1.0
+    num = np.minimum(x, 0.0, out=np.empty_like(den))
+    np.exp(num, out=num)
+    num /= den
+    return num
 
 
 def _wrap(x) -> Tensor:
@@ -240,8 +260,15 @@ def silu(x):
 
 
 def rms_norm(x, gain, eps: float = 1e-6):
-    """RMS norm over the last axis times ``gain``, on Tensors or arrays."""
-    scale = ((x * x).mean(axis=-1, keepdims=True) + eps) ** -0.5
+    """RMS norm over the last axis times ``gain``, on Tensors or arrays.
+
+    The mean of squares is a sum divided by the width: on arrays the same
+    reduce-then-divide as ``ndarray.mean``, so the bits are the same,
+    without its per-call overhead. ``Tensor`` division by a Python scalar
+    is a true division too, so on Tensors the values equal those on
+    arrays bit for bit at any width.
+    """
+    scale = ((x * x).sum(axis=-1, keepdims=True) / x.shape[-1] + eps) ** -0.5
     return x * scale * gain
 
 

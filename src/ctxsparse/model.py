@@ -290,6 +290,9 @@ class KVCacheStore:
         return list(self._n)
 
     def stacked(self, layer: int):
+        """Views over the layer's committed K and V rows."""
+        if self._k[layer] is None:
+            raise ContractViolation(f"cache layer {layer} has never been written")
         n = self._n[layer]
         return self._k[layer][:n], self._v[layer][:n]
 

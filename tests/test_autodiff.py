@@ -161,3 +161,89 @@ def test_ops_over_constants_need_no_gradient():
     loss.backward()
     assert shifted.grad is None and c.grad is None
     assert np.allclose(w.grad, shifted.data + np.exp(w.data - c.data))
+
+
+# -- elementwise bodies: pinned to the textbook formulas, bit for bit ---------------
+
+
+def branch_sigmoid(x):
+    t = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + t), t / (1.0 + t))
+
+
+def mean_rms_norm(x, gain, eps=1e-6):
+    return x * ((x * x).mean(axis=-1, keepdims=True) + eps) ** -0.5 * gain
+
+
+EDGES = [0.0, -0.0, np.inf, -np.inf, 1e3, -1e3, 800.0, -800.0, 745.2, -745.2,
+         36.8, -36.8, 1e-300, -1e-300, 5e-324, -5e-324]
+WIDTHS = (8, 12, 48, 64, 96)
+
+
+def spread(width, edges=EDGES):
+    """(2, 4, width) values: normal draws at scales 1e-3 to 1e2, with the
+    edge values laid over the first rows; read-only, so a write raises."""
+    rng = np.random.default_rng(width)
+    x = rng.normal(size=(2, 4, width)) * np.array([1e-3, 1.0, 10.0, 1e2])[:, None]
+    flat = x.reshape(-1)
+    flat[:len(edges)] = edges
+    x.flags.writeable = False
+    return x
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@pytest.mark.filterwarnings("error")
+def test_sigmoid_and_silu_equal_branch_formula_bit_for_bit():
+    # silu(-inf) is -inf * 0 = NaN (an invalid-value warning) in any
+    # formula, so silu's spread leaves -inf out
+    finite_silu = [e for e in EDGES if e != -np.inf]
+    for width in WIDTHS:
+        x = spread(width)
+        assert same_bits(ad._sigmoid(x), branch_sigmoid(x))
+        y = spread(width, finite_silu)
+        assert same_bits(ad.silu(y), y * branch_sigmoid(y))
+    raw = np.random.default_rng(1).integers(-2**63, 2**63 - 1, size=4096, dtype=np.int64)
+    bits = raw.view(np.float64)
+    bits = bits[~np.isnan(bits)]
+    assert same_bits(ad._sigmoid(bits), branch_sigmoid(bits))
+    assert same_bits(ad._sigmoid(np.array(-2.0)), branch_sigmoid(np.array(-2.0)))
+
+
+@pytest.mark.filterwarnings("error")
+def test_rms_norm_equals_mean_formula_bit_for_bit():
+    # a row holding inf norms to inf * 0 = NaN in any formula, so the
+    # norm's spread stops at the finite edges
+    finite = [e for e in EDGES if np.isfinite(e)]
+    for width in WIDTHS:
+        x = spread(width, finite)
+        gain = np.random.default_rng(width).normal(size=width)
+        assert same_bits(ad.rms_norm(x, gain), mean_rms_norm(x, gain))
+        zeros = np.zeros((3, width))
+        assert same_bits(ad.rms_norm(zeros, gain), mean_rms_norm(zeros, gain))
+
+
+def test_tensor_sigmoid_saves_an_output_apart_from_its_input():
+    x = ad.Tensor(spread(12).copy())
+    s = x.sigmoid()
+    assert not np.shares_memory(s.data, x.data)
+    want = branch_sigmoid(x.data)
+    want = want * (1.0 - want)
+    x.data[...] = 7.0  # the saved output must not see this
+    s.sum().backward()
+    assert same_bits(x.grad, want)
+
+
+def test_tensor_rms_norm_and_mean_equal_arrays_at_any_width():
+    rng = np.random.default_rng(12)
+    for width in (12, 48, 96):
+        x, gain = rng.normal(size=(3, 5, width)), rng.normal(size=width)
+        assert same_bits(ad.rms_norm(ad.Tensor(x), ad.Tensor(gain)).data,
+                         ad.rms_norm(x, gain))
+        t = ad.Tensor(x)
+        assert same_bits(t.mean(axis=-1, keepdims=True).data, x.mean(axis=-1, keepdims=True))
+        assert same_bits((t / 3.0).data, x / 3.0)
+        t.mean().backward()
+        assert same_bits(t.grad, np.ones_like(x) / x.size)

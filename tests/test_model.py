@@ -475,6 +475,15 @@ def test_cache_extend_rejects_bad_order_and_leaves_cache_unchanged():
     assert cache_snapshot(cache, 0)[2:] == before[2:]
 
 
+def test_stacked_on_unwritten_layer_raises_contract_violation():
+    cache = m.KVCacheStore(2)
+    cache.append(0, np.zeros(8), np.zeros(8), 0)
+    with pytest.raises(ContractViolation, match="layer 1"):
+        cache.stacked(1)
+    k, v = cache.stacked(0)
+    assert k.shape == v.shape == (1, 8)
+
+
 def test_layer_forward_on_slot_equals_plain_pair_bit_for_bit():
     model = toy_model(8)
     layer = model.layers[1]
