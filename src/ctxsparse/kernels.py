@@ -44,9 +44,9 @@ def softmax_rows(x) -> np.ndarray:
     double precision.
     """
     x = _scores(x)
-    e = np.subtract(x, np.max(x, axis=-1, keepdims=True), order="C")
+    e = np.subtract(x, x.max(axis=-1, keepdims=True), order="C")
     np.exp(e, out=e)
-    e /= np.sum(e, axis=-1, keepdims=True)
+    e /= e.sum(axis=-1, keepdims=True)
     return e
 
 
@@ -71,9 +71,9 @@ def masked_softmax(x, g) -> np.ndarray:
     if x.shape[-1] == 0 or not keep.any(axis=-1).all():
         raise ContractViolation("masked_softmax: a mask row is all zeros")
     e = np.ascontiguousarray(np.where(keep, x, -np.inf))
-    e -= np.max(e, axis=-1, keepdims=True)
+    e -= e.max(axis=-1, keepdims=True)
     np.exp(e, out=e)  # exp(-inf) == 0.0 exactly
-    e /= np.sum(e, axis=-1, keepdims=True)
+    e /= e.sum(axis=-1, keepdims=True)
     return e
 
 

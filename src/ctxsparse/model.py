@@ -136,12 +136,23 @@ class SequenceState:
 
     Original positions are 0..N-1 in concatenation order (image, text,
     output) and are never reassigned.
+
+    ``decisions`` is owned by ``sparsify``: the keep decisions its last
+    forward over this state made (the kept image indices and one flag per
+    output token), so that the next forward of the same generation decides
+    only the outputs appended since. A forward reuses the record only if
+    the model and predictors are the same objects, the sparsity config is
+    equal, ``image`` and ``text`` are the same arrays, and the decided
+    output rows are unchanged; otherwise it decides afresh. Weights are
+    assumed not to change in place between the forwards of one generation.
+    The record takes no part in equality and ``copy`` leaves it behind.
     """
 
     image: np.ndarray   # (n_image, d)
     text: np.ndarray    # (n_text, d)
     output: np.ndarray  # (n_output, d)
     output_ids: list = field(default_factory=list)
+    decisions: object = field(default=None, compare=False, repr=False)
 
     @property
     def n_image(self):

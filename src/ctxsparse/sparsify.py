@@ -12,6 +12,18 @@ reappears beyond layer l at any later step. The newest token always takes
 part in its own step's attention regardless of whether it is admitted for
 future steps.
 
+Each token is decided once per generation in both decode modes. Cached
+decoding records each output's admission as it is fed. Prefill and
+no-cache decoding record each lane's kept image indices and output flags
+on its ``SequenceState.decisions``, and a later forward over the same
+state reuses them: the image predictor runs once per generation and the
+output predictor once per output token. The record is reused only while
+the model and predictors are the same objects, the sparsity config is
+equal, the prompt arrays are the same and the decided output rows are
+unchanged; otherwise the forward decides afresh. Under the causal mask a
+token's layer-l feature does not depend on later tokens, so the reused
+decisions are those a fresh forward makes.
+
 One forward, single = batch of one: prefill and no-cache decoding, single
 and batched, all run ``_sparse_forward``, one loop over the layers of
 left-padded (B, N, d) lanes in which each lane makes its keep decisions at
@@ -31,7 +43,7 @@ calls into this module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -202,6 +214,60 @@ def _output_flags(predictors: Predictors, output_hidden: np.ndarray,
     return decisions_to_mask(output_decisions(predictors, output_hidden))
 
 
+@dataclass(eq=False)
+class _Decisions:
+    """A lane's record on ``SequenceState.decisions``: its kept image
+    indices and the flags of its first ``len(output)`` outputs, with what
+    they were decided from. The two decision arrays are read-only, since
+    forwards hand them to callers."""
+    model: Model
+    predictors: Predictors
+    cfg: SparsityConfig      # a copy: a later edit of the caller's is seen
+    image: np.ndarray        # the state's prompt arrays themselves
+    text: np.ndarray
+    output: np.ndarray       # a copy of the decided output rows
+    image_keep: np.ndarray
+    output_flags: np.ndarray
+
+    def holds_for(self, model, predictors, state, cfg) -> bool:
+        k = self.output.shape[0]
+        return (self.model is model and self.predictors is predictors
+                and self.cfg == cfg and self.image is state.image
+                and self.text is state.text and k <= state.n_output
+                and np.array_equal(self.output, state.output[:k]))
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def _decide(model: Model, predictors: Predictors, state: SequenceState,
+            rows: np.ndarray, cfg: SparsityConfig, outputs: bool):
+    """The lane's kept image indices and, when ``outputs``, its output flags
+    (None without output rows), given its unpadded layer-l ``rows``.
+
+    The decisions on the state's record are reused while it holds, so only
+    the outputs appended since are decided; otherwise the lane is decided
+    afresh. Either way the record then covers what was returned.
+    """
+    rec = state.decisions
+    if rec is None or not rec.holds_for(model, predictors, state, cfg):
+        keep = select_image_keep(predictors, rows[:state.n_image], cfg)
+        rec = state.decisions = _Decisions(
+            model, predictors, replace(cfg), state.image, state.text,
+            state.output[:0].copy(), _read_only(keep),
+            _read_only(np.zeros(0, dtype=np.int64)))
+    if not outputs or not state.n_output:
+        return rec.image_keep, None
+    k = rec.output.shape[0]
+    if k < state.n_output:
+        new = _output_flags(predictors, rows[state.n_prefill + k:], cfg, first_index=k)
+        rec.output_flags = _read_only(np.concatenate([rec.output_flags, new]))
+        rec.output = state.output.copy()
+    return rec.image_keep, rec.output_flags
+
+
 def _survivors(state: SequenceState, image_keep: np.ndarray, out_flags=None):
     """Original positions of the tokens that layers l, l + 1, ... see: the
     kept image tokens, every text token and, given output flags, the kept
@@ -224,10 +290,11 @@ def _sparse_forward(model: Model, predictors: Predictors, states: list,
 
     Each lane's prompt rows, plus its output rows when ``outputs``, are
     left-padded and run through layers < l under a padded causal mask.
-    Each lane then picks its kept image tokens and output flags from its
-    own unpadded layer-l rows, and its survivors, re-padded, run through
-    layers l, l + 1, .... Given a one-lane ``cache``, every layer's K/V
-    rows are written into it at their original positions.
+    Each lane then takes its kept image tokens and output flags from its
+    state's record, deciding from its own unpadded layer-l rows only what
+    the record lacks (``_decide``), and its survivors, re-padded, run
+    through layers l, l + 1, .... Given a one-lane ``cache``, every layer's
+    K/V rows are written into it at their original positions.
 
     Returns the final (B, n, d) rows, whose last column holds each lane's
     newest token, the per-lane kept image indices, and the per-lane output
@@ -241,10 +308,10 @@ def _sparse_forward(model: Model, predictors: Predictors, states: list,
         if li == cfg.sparsify_layer:
             lanes = [x[b, x.shape[1] - len(p):] for b, p in enumerate(positions)]
             for b, st in enumerate(states):
-                keep_sets.append(select_image_keep(predictors, lanes[b][:st.n_image], cfg))
-                flag_sets.append(_output_flags(predictors, lanes[b][st.n_prefill:], cfg)
-                                 if outputs and st.n_output else None)
-                positions[b] = _survivors(st, keep_sets[b], flag_sets[b])
+                keep, flags = _decide(model, predictors, st, lanes[b], cfg, outputs)
+                keep_sets.append(keep)
+                flag_sets.append(flags)
+                positions[b] = _survivors(st, keep, flags)
             x, valid = left_pad([lane[p] for lane, p in zip(lanes, positions)])
         if li in (0, cfg.sparsify_layer):
             mask = _padded_causal_mask(valid)[:, None]
@@ -277,8 +344,10 @@ def sparse_decode_no_cache(model: Model, predictors: Predictors,
 
     The first l layers run on the full image+text+output set; beyond layer l
     only surviving image tokens, all text tokens, and surviving output
-    tokens remain, with the newest output token always kept. Returns the
-    newest position's logits (plus the per-token decisions on request).
+    tokens remain, with the newest output token always kept. The state's
+    recorded decisions are reused, so a step of a generation decides only
+    its new output token. Returns the newest position's logits (plus the
+    kept image indices and every output's flag on request).
     """
     cfg.validate(model.config.num_layers)
     if state.n_output < 1:
@@ -331,10 +400,11 @@ def sparse_greedy_generate(model: Model, predictors: Predictors,
     """Greedy generation under sparsified inference; returns a trace.
 
     Both modes produce identical token sequences for the same weights; the
-    no-cache trace reports the per-token keep decisions the cached mode
-    records as admissions. Generation stops at EOS, after max_new_tokens,
-    or after the token that has no position left below max_seq_len; the
-    trace's ``stop_reason`` says which.
+    no-cache trace reports the per-token keep decisions, each made once as
+    its token is fed, that the cached mode records as admissions.
+    Generation stops at EOS, after max_new_tokens, or after the token that
+    has no position left below max_seq_len; the trace's ``stop_reason``
+    says which.
     """
     if mode not in ("no_cache", "with_cache"):
         raise ContractViolation(f"unknown mode {mode!r}")
@@ -354,12 +424,10 @@ def sparse_greedy_generate(model: Model, predictors: Predictors,
 
     def no_cache_step(token, position):
         append_output(model, work, token)
-        logits, keep, out_flags = sparse_decode_no_cache(
+        logits, _, out_flags = sparse_decode_no_cache(
             model, predictors, work, cfg, return_decisions=True)
-        trace.image_keep = list(map(int, keep))
-        trace.admissions = [
-            AdmissionRecord(position=state.n_prefill + j, admitted=bool(flag), step=j)
-            for j, flag in enumerate(out_flags)]
+        trace.admissions.append(AdmissionRecord(
+            position=position, admitted=bool(out_flags[-1]), step=len(trace.admissions)))
         return logits
 
     step = cached_step if mode == "with_cache" else no_cache_step

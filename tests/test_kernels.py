@@ -204,3 +204,23 @@ def test_softmax_kernels_reject_rank_below_two():
         kernels.softmax_rows([1.0, 2.0])
     with pytest.raises(ContractViolation):
         kernels.masked_softmax([1.0, 2.0], [1.0, 1.0])
+
+
+def test_softmax_kernels_equal_function_reduction_formula_bit_for_bit():
+    """The kernels reduce with ``ndarray.max`` / ``ndarray.sum``; pin them to
+    the ``np.max`` / ``np.sum`` form of the same in-place formula, on one-row
+    cached-step scores and on rows long enough for pairwise summation."""
+    def by_functions(x, keep=None):
+        e = np.ascontiguousarray(x if keep is None else np.where(keep, x, -np.inf))
+        e = e - np.max(e, axis=-1, keepdims=True)
+        np.exp(e, out=e)
+        e /= np.sum(e, axis=-1, keepdims=True)
+        return e
+
+    rng = np.random.default_rng(14)
+    for shape in ((4, 1, 37), (2, 4, 1, 300), (3, 70, 129), (64, 608)):
+        x = rng.normal(scale=6.0, size=shape)
+        keep = rng.random((1,) * (len(shape) - 1) + shape[-1:]) < 0.6
+        keep[..., -1] = True
+        assert np.array_equal(kernels.softmax_rows(x), by_functions(x))
+        assert np.array_equal(kernels.masked_softmax(x, keep), by_functions(x, keep))

@@ -601,3 +601,131 @@ def test_cached_and_no_cache_generation_agree(seed, n_image, n_text, layer, imag
     assert a.stop_reason == b.stop_reason
     assert [(r.position, r.admitted, r.step) for r in a.admissions] == \
         [(r.position, r.admitted, r.step) for r in b.admissions]
+
+
+# -- each token is decided once per generation ------------------------------------
+
+
+def count_decisions(monkeypatch):
+    """Wrap the two predictors as sparsify calls them; returns the number
+    of image predictor calls and the row count of each output predictor
+    call, both lists that grow as they run."""
+    image_calls, output_rows = [], []
+    image, output = sp.image_decisions, sp.output_decisions
+
+    def counted_image(p, rows):
+        image_calls.append(rows.shape[0])
+        return image(p, rows)
+
+    def counted_output(p, rows):
+        output_rows.append(rows.shape[0])
+        return output(p, rows)
+
+    monkeypatch.setattr(sp, "image_decisions", counted_image)
+    monkeypatch.setattr(sp, "output_decisions", counted_output)
+    return image_calls, output_rows
+
+
+def test_batch_no_cache_decode_decides_each_token_once(monkeypatch):
+    model, preds, _ = setup(40)
+    states = batch_of_states(model, [1, 2, 3, 4], [10, 6, 8, 12], [3, 5, 2, 4])
+    batch = sp.PaddedBatch(states)
+    cfg = scfg()
+    image_calls, output_rows = count_decisions(monkeypatch)
+    logits, _ = sp.batch_sparse_prefill(model, preds, batch, cfg)
+    for _ in range(6):
+        for st, token in zip(states, np.argmax(logits, axis=-1)):
+            m.append_output(model, st, int(token))
+        logits = sp.batch_sparse_decode(model, preds, batch, cfg, mode="no_cache")
+    assert len(image_calls) == 4
+    assert output_rows == [1] * (4 * 6)
+
+
+def test_no_cache_generation_decides_each_token_once(monkeypatch):
+    model, preds, state = setup(41)
+    image_calls, output_rows = count_decisions(monkeypatch)
+    trace = sp.sparse_greedy_generate(model, preds, state, scfg(), 8, mode="no_cache")
+    assert len(trace.token_ids) == 8
+    assert len(image_calls) == 1
+    assert output_rows == [1] * 7
+
+
+@pytest.mark.parametrize("selection", sp.SELECTION_MODES)
+def test_recorded_decisions_equal_fresh_ones_bit_for_bit(selection):
+    model, preds, _ = setup(42)
+    states = batch_of_states(model, [5, 6, 7], [12, 7, 9], [4, 2, 3])
+    batch = sp.PaddedBatch(states)
+    cfg = scfg(selection_mode=selection)
+    logits, _ = sp.batch_sparse_prefill(model, preds, batch, cfg)
+    for _ in range(5):
+        for st, token in zip(states, np.argmax(logits, axis=-1)):
+            m.append_output(model, st, int(token))
+        logits = sp.batch_sparse_decode(model, preds, batch, cfg, mode="no_cache")
+        for st in states:
+            reused = sp.sparse_decode_no_cache(model, preds, st, cfg, return_decisions=True)
+            fresh = sp.sparse_decode_no_cache(model, preds, st.copy(), cfg,
+                                              return_decisions=True)
+            for a, b in zip(reused, fresh):
+                assert np.array_equal(a, b)
+
+
+def test_stale_record_is_decided_afresh(monkeypatch):
+    model, preds, state = setup(43)
+    other_preds = make_predictors(PredictorConfig(input_dim=64), seed=99)
+    for tok in (5, 9, 14):
+        m.append_output(model, state, tok)
+    cfg = scfg()
+    sp.sparse_decode_no_cache(model, preds, state, cfg)
+    image_calls, _ = count_decisions(monkeypatch)
+
+    def decode_matches_fresh(p, c):
+        before = len(image_calls)
+        got = sp.sparse_decode_no_cache(model, p, state, c, return_decisions=True)
+        assert len(image_calls) == before + 1
+        want = sp.sparse_decode_no_cache(model, p, state.copy(), c, return_decisions=True)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+
+    decode_matches_fresh(preds, scfg(image_keep_rate=0.3))
+    decode_matches_fresh(preds, cfg)
+    cfg.output_keep_rate = 0.7  # edited in place: the record holds a copy
+    decode_matches_fresh(preds, cfg)
+    decode_matches_fresh(other_preds, cfg)
+    decode_matches_fresh(preds, cfg)
+    state.output = state.output[::-1].copy()
+    decode_matches_fresh(preds, cfg)
+    state.output[0] += 1.0
+    decode_matches_fresh(preds, cfg)
+    m.full_logits(model, state)
+    decode_matches_fresh(preds, cfg)
+    calls = len(image_calls)
+    sp.sparse_decode_no_cache(model, preds, state, cfg)
+    assert len(image_calls) == calls  # a record that holds is reused
+
+
+def test_static_policy_draws_each_token_once(monkeypatch):
+    model, preds, state = setup(12, n_image=8, n_text=3)
+    cfg = scfg(policy="random", selection_mode="argmax")
+    draws = []
+    admit = sp._stream_admit
+    monkeypatch.setattr(sp, "_stream_admit",
+                        lambda c, index: draws.append(index) or admit(c, index))
+    traces = []
+    for mode in ("no_cache", "with_cache"):
+        draws.clear()
+        traces.append(sp.sparse_greedy_generate(model, preds, state, cfg, 12, mode=mode))
+        assert len(traces[-1].token_ids) == 12
+        assert draws == list(range(11))
+    a, b = traces
+    assert [(r.position, r.admitted, r.step) for r in a.admissions] == \
+        [(r.position, r.admitted, r.step) for r in b.admissions]
+
+
+def test_decisions_handed_to_callers_are_read_only():
+    model, preds, state = setup(44)
+    m.append_output(model, state, 7)
+    _, keep, flags = sp.sparse_decode_no_cache(model, preds, state, scfg(),
+                                               return_decisions=True)
+    for arr in (keep, flags):
+        with pytest.raises(ValueError):
+            arr[0] = 0
