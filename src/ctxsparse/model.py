@@ -8,11 +8,11 @@ Dense inference is sparse inference that keeps everything: ``prefill``,
 ``decode_step_no_cache``, ``full_logits``, ``decode_step_with_cache`` and
 ``greedy_generate`` call the ``sparsify`` paths with ``sparsify_layer = 0``
 and keep rate 1, which consult no predictor and give the same values a
-separate dense path would. One forward, single = batch of one: prefill and
-no-cache decoding, dense or sparse, single or batched, are one layer loop
-in ``sparsify`` over left-padded lanes.
+separate dense path would. Prefill and no-cache decoding, dense or sparse,
+are one layer loop in ``sparsify`` over one sequence's rows; a batch runs
+its lanes one after another.
 One layer implementation, ``layer_forward``, serves every mode: prefill and
-no-cache decode run it over left-padded (B, N, d) token sets, cached decode
+no-cache decode run it over one sequence's (N, d) rows, cached decode
 over one new row with a ``KVCacheStore.slot`` as ``past_kv`` (the row's
 K/V are written into the store's spare capacity and attended in place, so
 a step copies no cached row), the image predictor's blocks over whole
@@ -501,8 +501,8 @@ def full_logits(model: Model, state: SequenceState) -> np.ndarray:
     """Logits at every position; used by tests and training oracles."""
     from .sparsify import _sparse_forward
 
-    hidden = _sparse_forward(model, None, [state], _keep_all(), True)[0]
-    return _logits_at(model, hidden[0])
+    hidden = _sparse_forward(model, None, state, _keep_all(), True)[0]
+    return _logits_at(model, hidden)
 
 
 def _keep_all():
@@ -526,8 +526,8 @@ def decode_step_no_cache(model: Model, state: SequenceState) -> np.ndarray:
     """Full forward over prompt plus all generated tokens; last-row logits."""
     from .sparsify import _sparse_forward
 
-    hidden = _sparse_forward(model, None, [state], _keep_all(), True)[0]
-    return _logits_at(model, hidden[0, -1])
+    hidden = _sparse_forward(model, None, state, _keep_all(), True)[0]
+    return _logits_at(model, hidden[-1])
 
 
 def attend_cached(layer: LayerWeights, token: np.ndarray, cached_k: np.ndarray,

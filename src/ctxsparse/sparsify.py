@@ -1,7 +1,7 @@
 """Sparsified inference: prefill-time image-token reduction, output-token
 reduction when decoding without a KV cache, and online KV-cache admission
-when decoding with one, plus left-padded batch-parallel variants and the
-Random/Structure static baselines.
+when decoding with one, plus batch entry points and the Random/Structure
+static baselines.
 
 Layer convention: with ``sparsify_layer = l`` (0 <= l < num_layers) the
 first l layers always see the full token set and cache every token, the
@@ -24,15 +24,16 @@ unchanged; otherwise the forward decides afresh. Under the causal mask a
 token's layer-l feature does not depend on later tokens, so the reused
 decisions are those a fresh forward makes.
 
-One forward, single = batch of one: prefill and no-cache decoding, single
-and batched, all run ``_sparse_forward``, one loop over the layers of
-left-padded (B, N, d) lanes in which each lane makes its keep decisions at
-layer l from its own rows. A single sequence is a batch of one, with no
-padding. Cached decoding runs one new row per step through
-``attend_cached``: at each layer the row's K/V are written once, in place,
-into the free row of a ``KVCacheStore.slot``, the row attends over the
-slot's views, and admission is whether ``commit`` then advances that
-layer's length. No step copies the cache.
+One forward per sequence: prefill and no-cache decoding, dense or sparse,
+run ``_sparse_forward``, one layer loop over one sequence's rows that
+decides at layer l and carries only the survivors on. A batch runs its
+lanes one after another through the single-sequence calls, so each lane's
+values are exactly its own; on one numpy thread, lanes of mixed length
+also run sooner so than left-padded in lockstep. Cached decoding runs one
+new row per step through ``attend_cached``: at each layer the row's K/V
+are written once, in place, into the free row of a ``KVCacheStore.slot``,
+the row attends over the slot's views, and admission is whether
+``commit`` then advances that layer's length. No step copies the cache.
 
 Dense inference is the case l = 0 with both keep rates at 1: nothing is
 dropped, no predictor is consulted, and ``model.prefill``,
@@ -244,11 +245,11 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 def _decide(model: Model, predictors: Predictors, state: SequenceState,
             rows: np.ndarray, cfg: SparsityConfig, outputs: bool):
-    """The lane's kept image indices and, when ``outputs``, its output flags
-    (None without output rows), given its unpadded layer-l ``rows``.
+    """The state's kept image indices and, when ``outputs``, its output
+    flags (None without output rows), given its layer-l ``rows``.
 
     The decisions on the state's record are reused while it holds, so only
-    the outputs appended since are decided; otherwise the lane is decided
+    the outputs appended since are decided; otherwise the state is decided
     afresh. Either way the record then covers what was returned.
     """
     rec = state.decisions
@@ -283,42 +284,34 @@ def _survivors(state: SequenceState, image_keep: np.ndarray, out_flags=None):
 # -- the one forward for prefill and no-cache decoding ---------------------------
 
 
-def _sparse_forward(model: Model, predictors: Predictors, states: list,
+def _sparse_forward(model: Model, predictors: Predictors, state: SequenceState,
                     cfg: SparsityConfig, outputs: bool, cache=None, meter=None):
     """Prefill (``outputs`` False) or no-cache decoding (``outputs`` True)
-    of the lanes ``states`` in lockstep; a single sequence is a batch of one.
+    of one sequence.
 
-    Each lane's prompt rows, plus its output rows when ``outputs``, are
-    left-padded and run through layers < l under a padded causal mask.
-    Each lane then takes its kept image tokens and output flags from its
-    state's record, deciding from its own unpadded layer-l rows only what
-    the record lacks (``_decide``), and its survivors, re-padded, run
-    through layers l, l + 1, .... Given a one-lane ``cache``, every layer's
-    K/V rows are written into it at their original positions.
+    The prompt rows, plus the output rows when ``outputs``, run through
+    layers < l under a causal mask. At layer l the state's record gives the
+    kept image tokens and output flags, deciding from the layer-l rows only
+    what the record lacks (``_decide``), and the survivors run through
+    layers l, l + 1, .... Given a ``cache``, every layer's K/V rows are
+    written into it at their original positions.
 
-    Returns the final (B, n, d) rows, whose last column holds each lane's
-    newest token, the per-lane kept image indices, and the per-lane output
-    flags (None for a lane without output rows).
+    Returns the final (n, d) rows, the newest token's last, the kept image
+    indices, and the output flags (None without output rows).
     """
-    rows = [st.all_tokens() if outputs else st.prefill_tokens() for st in states]
-    positions = [np.arange(r.shape[0]) for r in rows]
-    x, valid = left_pad(rows)
-    keep_sets, flag_sets = [], []
+    x = state.all_tokens() if outputs else state.prefill_tokens()
+    positions = np.arange(x.shape[0])
     for li, layer in enumerate(model.layers):
         if li == cfg.sparsify_layer:
-            lanes = [x[b, x.shape[1] - len(p):] for b, p in enumerate(positions)]
-            for b, st in enumerate(states):
-                keep, flags = _decide(model, predictors, st, lanes[b], cfg, outputs)
-                keep_sets.append(keep)
-                flag_sets.append(flags)
-                positions[b] = _survivors(st, keep, flags)
-            x, valid = left_pad([lane[p] for lane, p in zip(lanes, positions)])
+            keep, flags = _decide(model, predictors, state, x, cfg, outputs)
+            positions = _survivors(state, keep, flags)
+            x = x[positions]
         if li in (0, cfg.sparsify_layer):
-            mask = _padded_causal_mask(valid)[:, None]
+            mask = np.tri(len(x), dtype=bool)  # causal; 1/8 of causal_mask's bytes
         x, k, v = layer_forward(layer, x, mask, model.config.num_heads, meter=meter)
         if cache is not None:
-            cache.extend(li, k[0], v[0], positions[0])
-    return x, keep_sets, flag_sets
+            cache.extend(li, k, v, positions)
+    return x, keep, flags
 
 
 def sparse_prefill(model: Model, predictors: Predictors, state: SequenceState,
@@ -332,9 +325,9 @@ def sparse_prefill(model: Model, predictors: Predictors, state: SequenceState,
     if state.n_prefill == 0:
         raise ContractViolation("sparse_prefill: empty state")
     cache = KVCacheStore(model.config.num_layers)
-    x, keep_sets, _ = _sparse_forward(model, predictors, [state], cfg, False,
-                                      cache=cache, meter=meter)
-    return _logits_at(model, x[0, -1]), cache, keep_sets[0]
+    x, keep, _ = _sparse_forward(model, predictors, state, cfg, False,
+                                 cache=cache, meter=meter)
+    return _logits_at(model, x[-1]), cache, keep
 
 
 def sparse_decode_no_cache(model: Model, predictors: Predictors,
@@ -352,10 +345,10 @@ def sparse_decode_no_cache(model: Model, predictors: Predictors,
     cfg.validate(model.config.num_layers)
     if state.n_output < 1:
         raise ContractViolation("sparse_decode_no_cache: need >= 1 output token")
-    x, keep_sets, flag_sets = _sparse_forward(model, predictors, [state], cfg, True)
-    logits = _logits_at(model, x[0, -1])
+    x, keep, flags = _sparse_forward(model, predictors, state, cfg, True)
+    logits = _logits_at(model, x[-1])
     if return_decisions:
-        return logits, keep_sets[0], flag_sets[0]
+        return logits, keep, flags
     return logits
 
 
@@ -372,11 +365,16 @@ def sparse_decode_with_cache(model: Model, predictors: Predictors,
     is committed at every layer; a rejected one only at layers < l, and at
     the deeper layers it stays past the length, where the next step
     overwrites it. The decision is recorded once and shared by all deeper
-    layers. The step is atomic on a bad ``position``: it is checked against
-    every layer before any runs, so a conflict raises ``ContractViolation``
-    with the cache unchanged. Returns (logits, admitted flag).
+    layers. The step is atomic on a bad input: ``last_token`` must be one
+    (hidden_dim,) vector and ``position`` must lie past every layer's last
+    cached one, both checked before any layer runs, so either fault raises
+    ``ContractViolation`` with the cache unchanged. Returns (logits,
+    admitted flag).
     """
     cfg.validate(model.config.num_layers)
+    if np.shape(last_token) != (model.config.hidden_dim,):
+        raise ContractViolation(f"cached step token shape {np.shape(last_token)} "
+                                f"is not ({model.config.hidden_dim},)")
     for li in range(model.config.num_layers):
         cache.check_position(li, position)
     split = cfg.sparsify_layer
@@ -443,9 +441,10 @@ def sparse_greedy_generate(model: Model, predictors: Predictors,
     return trace
 
 
-# -- batch-parallel execution ---------------------------------------------------
+# -- batches -------------------------------------------------------------------
 
 
+# No package caller: perfbench's probes wrap it; tests pad inputs with it.
 def left_pad(rows: list) -> tuple:
     """Left-pad per-sample (n_b, d) matrices with zero vectors.
 
@@ -467,7 +466,8 @@ def left_pad(rows: list) -> tuple:
 
 @dataclass
 class PaddedBatch:
-    """A mini-batch of independent sequences executed in lockstep."""
+    """A non-empty list of independent sequences, which the batch calls run
+    one after another (the name stays: perfbench's workloads build it)."""
     states: list
 
     def __post_init__(self):
@@ -475,6 +475,7 @@ class PaddedBatch:
             raise ContractViolation("PaddedBatch: need at least one sample")
 
 
+# No package caller: layer tests build (B, 1, N, N) masks with it.
 def _padded_causal_mask(valid: np.ndarray) -> np.ndarray:
     """Causal mask over left-padded rows: no attention into pad slots, and
     pad rows self-attend so every row keeps one live entry."""
@@ -486,40 +487,35 @@ def _padded_causal_mask(valid: np.ndarray) -> np.ndarray:
 
 def batch_sparse_prefill(model: Model, predictors: Predictors,
                          batch: PaddedBatch, cfg: SparsityConfig):
-    """Left-padded batch-parallel sparse prefill.
-
-    Each lane keeps the image tokens ``sparse_prefill`` would keep for it
-    alone, and survivors are re-padded to the in-batch maximum. Returns
-    the (B, vocab) last-position logits and the per-lane keep sets.
-    """
+    """Sparse prefill of each lane on its own, with no cache kept: the
+    (B, vocab) last-position logits and the per-lane keep sets, exactly
+    those of ``sparse_prefill`` on each lane alone."""
     cfg.validate(model.config.num_layers)
-    x, keep_sets, _ = _sparse_forward(model, predictors, batch.states, cfg, False)
-    return _logits_at(model, x[:, -1]), keep_sets
+    logits, keep_sets = [], []
+    for st in batch.states:
+        if st.n_prefill == 0:
+            raise ContractViolation("batch_sparse_prefill: empty state")
+        x, keep, _ = _sparse_forward(model, predictors, st, cfg, False)
+        logits.append(_logits_at(model, x[-1]))
+        keep_sets.append(keep)
+    return np.stack(logits), keep_sets
 
 
 def batch_sparse_decode(model: Model, predictors: Predictors,
                         batch: PaddedBatch, cfg: SparsityConfig,
                         mode: str = "no_cache") -> np.ndarray:
-    """Batched next-token logits over per-sample histories.
-
-    ``no_cache`` re-runs the left-padded full sets in lockstep with
-    per-sample output masks. ``with_cache`` runs each lane on its own:
-    ``sparse_prefill`` of its prompt, then ``sparse_decode_with_cache`` over
-    its output tokens, so lanes may hold different numbers of outputs and
-    each lane's logits are those of sequential decoding. Every lane needs
-    at least one output token in both modes. Per-sample results match
-    sequential execution within 1e-9.
-    """
+    """Next-token logits of each lane, decoded on its own, one lane at a
+    time: ``sparse_decode_no_cache`` (``no_cache``), or ``sparse_prefill`` of
+    its prompt then ``sparse_decode_with_cache`` over its outputs
+    (``with_cache``). Lanes may hold different numbers of outputs, but each
+    needs at least one."""
     cfg.validate(model.config.num_layers)
     if mode not in ("no_cache", "with_cache"):
         raise ContractViolation(f"unknown mode {mode!r}")
     if any(st.n_output < 1 for st in batch.states):
         raise ContractViolation("batch decode: every sample needs output tokens")
-    if mode == "no_cache":
-        x = _sparse_forward(model, predictors, batch.states, cfg, True)[0]
-        return _logits_at(model, x[:, -1])
-    return np.stack([_decode_lane_with_cache(model, predictors, st, cfg)
-                     for st in batch.states])
+    step = sparse_decode_no_cache if mode == "no_cache" else _decode_lane_with_cache
+    return np.stack([step(model, predictors, st, cfg) for st in batch.states])
 
 
 def _decode_lane_with_cache(model, predictors, state, cfg):

@@ -276,6 +276,29 @@ def test_cached_step_with_conflicting_position_leaves_cache_unchanged():
         assert cache.positions[li][-1] == (position + 2 if grew else before[li][2][-1])
 
 
+def test_cached_step_with_malformed_token_leaves_cache_unchanged():
+    model, preds, state = setup(16)
+    cfg = scfg()
+    _, cache, _ = sp.sparse_prefill(model, preds, state, cfg)
+    _, fresh, _ = sp.sparse_prefill(model, preds, state, cfg)
+    position = state.n_prefill
+    before = [layer_snapshot(cache, li) for li in range(4)]
+    vec = m.embed_output_token(model, 5, position)
+    admissions = []
+    for bad in (vec[None], np.stack([vec, vec]), vec[:32]):
+        with pytest.raises(ContractViolation, match="token shape"):
+            sp.sparse_decode_with_cache(model, preds, cache, admissions, bad,
+                                        position, cfg)
+        assert admissions == []
+        for li in range(4):
+            assert_same_layer(layer_snapshot(cache, li), before[li])
+    got = sp.sparse_decode_with_cache(model, preds, cache, admissions, vec, position, cfg)
+    ref = sp.sparse_decode_with_cache(model, preds, fresh, [], vec, position, cfg)
+    assert np.array_equal(got[0], ref[0]) and got[1] == ref[1]
+    for li in range(4):
+        assert_same_layer(layer_snapshot(cache, li), layer_snapshot(fresh, li))
+
+
 @pytest.mark.parametrize("policy", ["learned", "random", "structure"])
 def test_mode_equivalence_policies(policy):
     model, preds, state = setup(12, n_image=8, n_text=3)
@@ -507,6 +530,33 @@ def test_batch_with_text_only_lane_matches_single():
             ref, _ = sp.sparse_decode_with_cache(model, preds, cache, admissions,
                                                  st.output[t], st.n_prefill + t, cfg)
         assert np.abs(with_cache[b] - ref).max() <= 1e-9
+
+
+@pytest.mark.parametrize("policy", ["learned", "random", "structure"])
+def test_batch_equals_its_lanes_bit_for_bit(policy):
+    model, preds, _ = setup(27)
+    preds.output_mlp_b[-1][1] = 0.0  # no keep bias: the learned flags vary
+    # mixed lengths, one lane text-only and one past a 64-row attention block
+    states = batch_of_states(model, [31, 32, 33, 34], [12, 0, 70, 5], [3, 4, 2, 6])
+    cfg = scfg(policy=policy)
+    logits, keep_sets = sp.batch_sparse_prefill(
+        model, preds, sp.PaddedBatch([s.copy() for s in states]), cfg)
+    for b, st in enumerate(states):
+        ref, _, ref_keep = sp.sparse_prefill(model, preds, st, cfg)
+        assert np.array_equal(logits[b], ref)
+        assert np.array_equal(keep_sets[b], ref_keep)
+    rng = np.random.default_rng(35)
+    for st, n_out in zip(states, (1, 4, 6, 3)):
+        for tok in rng.integers(1, CFG.vocab_size, size=n_out):
+            m.append_output(model, st, int(tok))
+    batch = [s.copy() for s in states]
+    no_cache = sp.batch_sparse_decode(model, preds, sp.PaddedBatch(batch), cfg,
+                                      mode="no_cache")
+    with_cache = sp.batch_sparse_decode(model, preds, sp.PaddedBatch(batch), cfg,
+                                        mode="with_cache")
+    for b, st in enumerate(states):
+        assert np.array_equal(no_cache[b], sp.sparse_decode_no_cache(model, preds, st, cfg))
+        assert np.array_equal(with_cache[b], sequential_with_cache(model, preds, st, cfg))
 
 
 def test_generation_stop_reasons():
