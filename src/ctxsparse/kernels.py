@@ -6,10 +6,12 @@ argmax family always break toward the lower index.
 
 The two softmax kernels work over the last axis of scores of any rank >= 2.
 ``masked_softmax`` takes a mask that broadcasts to the scores, so a shared
-(N, N) mask is never copied per head or per sample. Each call allocates one
-C-contiguous result array and does the rest of its arithmetic in place on
-it, so every row is reduced in the same order whatever the input's memory
-layout; the input is never mutated.
+(N, N) mask is never copied per head or per sample. Each kernel does its
+arithmetic in place on one C-contiguous result array, so every row is
+reduced in the same order whatever the input's memory layout. Without
+``out=`` that array is allocated by the call and the input is never
+mutated; with ``out=`` the result is written into ``out``, which may be the
+input itself, and nothing score-sized is allocated.
 """
 
 from __future__ import annotations
@@ -35,42 +37,62 @@ def _scores(x) -> np.ndarray:
     return a
 
 
-def softmax_rows(x) -> np.ndarray:
+def _check_out(x: np.ndarray, out):
+    """Raise unless ``out`` is None or a C-contiguous float64 array shaped
+    like ``x`` that a softmax can write its result into."""
+    if out is None or out is x and x.flags.c_contiguous:  # x is float64 here
+        return
+    if not (isinstance(out, np.ndarray) and out.shape == x.shape
+            and out.dtype == np.float64 and out.flags.c_contiguous):
+        raise ContractViolation(
+            f"softmax out= must be a C-contiguous float64 array of shape {x.shape}")
+
+
+def softmax_rows(x, out=None) -> np.ndarray:
     """Softmax over the last axis with max subtraction for stability.
 
     ``x`` has rank >= 2; every slice along the last axis is one row. The
-    result is a fresh C-contiguous array, the only full-size allocation,
-    and ``x`` is never written. Each output row sums to 1 within 1e-12 in
-    double precision.
+    result goes to ``out`` (a C-contiguous float64 array shaped like ``x``,
+    possibly ``x`` itself) and is returned; without ``out`` it is a fresh
+    C-contiguous array, the only full-size allocation, and ``x`` is never
+    written. Each output row sums to 1 within 1e-12 in double precision.
     """
     x = _scores(x)
-    e = np.subtract(x, x.max(axis=-1, keepdims=True), order="C")
+    _check_out(x, out)
+    e = np.subtract(x, x.max(axis=-1, keepdims=True), out=out, order="C")
     np.exp(e, out=e)
     e /= e.sum(axis=-1, keepdims=True)
     return e
 
 
-def masked_softmax(x, g) -> np.ndarray:
+def masked_softmax(x, g, out=None) -> np.ndarray:
     """Softmax over the last axis restricted to entries where the mask is
     nonzero.
 
     ``x`` has rank >= 2 and ``g`` broadcasts to ``x.shape`` (e.g. an (N, N)
     mask over (H, N, N) head scores), so callers never expand the mask.
     Entry (..., i, j) is exp(x_ij)*g_ij / sum_k exp(x_ik)*g_ik. Masked
-    entries are exactly 0 in the output. The result is a fresh C-contiguous
-    array, the only full-size allocation unless ``x`` is not C-ordered, and
-    ``x`` is never written. With an all-ones mask each element takes the
-    same operations as in ``softmax_rows``, so the values are bit-identical.
+    entries are exactly 0 in the output. The result goes to ``out`` (a
+    C-contiguous float64 array shaped like ``x``, possibly ``x`` itself) and
+    is returned; without ``out`` it is a fresh C-contiguous array, the only
+    full-size allocation, and ``x`` is never written. The mask is checked
+    before anything is written. With an all-ones mask each element takes
+    the same operations as in ``softmax_rows``, so the values are
+    bit-identical.
     """
     x = _scores(x)
-    keep = np.asarray(g) != 0.0
-    if not 1 <= keep.ndim <= x.ndim or any(
-            m not in (1, n) for m, n in zip(keep.shape[::-1], x.shape[::-1])):
+    hidden = np.logical_not(g)
+    if not 1 <= hidden.ndim <= x.ndim or any(
+            m not in (1, n) for m, n in zip(hidden.shape[::-1], x.shape[::-1])):
         raise ContractViolation(
             f"mask of shape {np.shape(g)} does not broadcast to scores {x.shape}")
-    if x.shape[-1] == 0 or not keep.any(axis=-1).all():
+    if x.shape[-1] == 0 or hidden.all(axis=-1).any():
         raise ContractViolation("masked_softmax: a mask row is all zeros")
-    e = np.ascontiguousarray(np.where(keep, x, -np.inf))
+    _check_out(x, out)
+    e = np.empty(x.shape) if out is None else out
+    if e is not x:
+        np.copyto(e, x)
+    np.copyto(e, -np.inf, where=hidden)
     e -= e.max(axis=-1, keepdims=True)
     np.exp(e, out=e)  # exp(-inf) == 0.0 exactly
     e /= e.sum(axis=-1, keepdims=True)

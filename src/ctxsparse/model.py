@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,8 +43,10 @@ CHECKPOINT_VERSION = 1
 # Query rows per block in layer_forward. A (4 heads x 64 rows x ~608 keys)
 # float64 score block is about 1.2 MB, which fits a 2 MB per-core L2 cache.
 # Median sparse_prefill of 576 + 32 tokens (default config, one BLAS
-# thread, 2-core Xeon VM) by block size: 32 -> 69 ms, 64 -> 65 ms,
-# 128 -> 68 ms, 256 -> 73 ms, one unblocked block -> 124 ms.
+# thread, 2-core Xeon VM) by block size, with a fresh score array per
+# block: 32 -> 69 ms, 64 -> 65 ms, 128 -> 68 ms, 256 -> 73 ms, one
+# unblocked block -> 124 ms. With one score workspace per call (median of
+# 5 processes, busy neighbours): 32 -> 61 ms, 64 -> 62 ms, 128 -> 68 ms.
 _QUERY_BLOCK = 64
 
 
@@ -325,16 +328,15 @@ def _query_blocks(mask, n: int, n_keys: int):
     row of the block can see, and ``mask`` cut to those rows and keys.
 
     ``kmax`` is one past the last key column the mask leaves visible to any
-    row of the block in any head or lane; it is 0 when no row sees a key,
-    so the softmax still rejects the empty rows. With ``n <= _QUERY_BLOCK``
-    there is one block over all keys and the mask is not read; the same
-    holds for a mask whose last two axes do not broadcast to (n, n_keys),
-    which the softmax then rejects.
+    row of the block in any head or lane, read from the block's own mask
+    rows; it is 0 when no row sees a key, so the softmax still rejects the
+    empty rows. With ``n <= _QUERY_BLOCK`` there is one block over all keys
+    and the mask is not read; the same holds for a mask whose last two axes
+    do not broadcast to (n, n_keys), which the softmax then rejects.
     """
     if n <= _QUERY_BLOCK:
         yield slice(0, n), n_keys, mask
         return
-    ends = np.full(n, n_keys)
     if mask is not None:
         if not isinstance(mask, ad.Tensor):
             mask = np.asarray(mask)
@@ -343,15 +345,15 @@ def _query_blocks(mask, n: int, n_keys: int):
         if values.ndim == 0 or mask_rows not in (1, n) or mask_cols not in (1, n_keys):
             yield slice(0, n), n_keys, mask
             return
-        vis = (values != 0).reshape(-1, mask_rows, mask_cols).any(axis=0)
-        last = np.argmax(vis[:, ::-1], axis=-1)
-        ends[:] = np.where(vis.any(axis=-1), n_keys - last, 0)
     for r0 in range(0, n, _QUERY_BLOCK):
         rows = slice(r0, min(r0 + _QUERY_BLOCK, n))
-        kmax = int(ends[rows].max())
         if mask is None:
-            yield rows, kmax, None
-        elif mask_rows == n:
+            yield rows, n_keys, None
+            continue
+        block = values[..., rows, :] if mask_rows == n else values
+        seen = block.any(axis=tuple(range(block.ndim - 1)))  # per key column
+        kmax = n_keys - int(np.argmax(seen[::-1])) if seen.any() else 0
+        if mask_rows == n:
             yield rows, kmax, mask[..., rows, :kmax]
         else:
             yield rows, kmax, mask[..., :kmax]
@@ -379,21 +381,31 @@ def layer_forward(layer: LayerWeights, x: np.ndarray, mask, num_heads: int,
     the rows' own (k, v) projections for the cache.
 
     After the q/k/v projections the rows run in blocks of ``_QUERY_BLOCK``
-    (attention, output projection and FFN), so no temporary grows past a
-    block. Each block computes scores, softmax and ``probs @ v`` only over
-    the leading keys that the mask leaves visible to some row of the
-    block: a causal mask never has its upper triangle computed, and the
-    columns cut off are exactly those whose probability would be 0. With
-    ``n <= _QUERY_BLOCK`` (every cached decode step) there is one block
-    over all keys and the mask is not read. ``meter`` still counts q @ k^T
-    and probs @ v over the full key range, as the benchmark's analytic
-    FLOP counts (``perfbench/costs.py``) do.
+    (attention, output projection and FFN). Each block computes scores,
+    softmax and ``probs @ v`` only over the leading keys that the mask
+    leaves visible to some row of the block: a causal mask never has its
+    upper triangle computed, and the columns cut off are exactly those
+    whose probability would be 0. On arrays with ``n > _QUERY_BLOCK`` the
+    call allocates one score workspace, sized for one block over all keys:
+    each block's scores are a C-contiguous prefix of it, the softmax
+    kernels run in place there, and each block's rows are written into one
+    preallocated output. With ``n <= _QUERY_BLOCK`` (every cached decode
+    step) there is one block over all keys, its scores are the matmul's own
+    result, softmaxed in place, and the mask is not read. ``meter`` still
+    counts q @ k^T and probs @ v over the full key range, as the
+    benchmark's analytic FLOP counts (``perfbench/costs.py``) do.
     On ``autodiff.Tensor`` rows, weights and mask (training) it records the
     tape, with tape softmax ops in place of the in-place kernels.
     """
     tape = isinstance(x, ad.Tensor)
-    softmax = ad.softmax_lastdim if tape else kernels.softmax_rows
-    masked_softmax = ad.masked_softmax_lastdim if tape else kernels.masked_softmax
+    if tape:
+        softmax, masked_softmax = ad.softmax_lastdim, ad.masked_softmax_lastdim
+    else:  # looked up per call, so the benchmark's traced run can wrap them
+        def softmax(s):
+            return kernels.softmax_rows(s, out=s)
+
+        def masked_softmax(s, g):
+            return kernels.masked_softmax(s, g, out=s)
     concat = ad.concat if tape else np.concatenate
     d = x.shape[-1]
     dh = d // num_heads
@@ -414,9 +426,23 @@ def layer_forward(layer: LayerWeights, x: np.ndarray, mask, num_heads: int,
         return t.reshape(*t.shape[:-1], num_heads, dh).swapaxes(-2, -3)
 
     q_h, k_h, v_h = heads(q), heads(keys), heads(vals)
+    n, n_keys = x.shape[-2], keys.shape[-2]
+    work = out = None
+    if not tape and n > _QUERY_BLOCK:
+        lanes_heads = np.broadcast_shapes(q_h.shape[:-2], k_h.shape[:-2])
+        out = np.empty(x.shape)
     blocks = []
-    for rows, kmax, block_mask in _query_blocks(mask, x.shape[-2], keys.shape[-2]):
-        scores = (q_h[..., rows, :] @ k_h[..., :kmax, :].swapaxes(-1, -2)) * dh ** -0.5
+    for rows, kmax, block_mask in _query_blocks(mask, n, n_keys):
+        q_blk, k_blk_t = q_h[..., rows, :], k_h[..., :kmax, :].swapaxes(-1, -2)
+        if out is None:
+            scores = q_blk @ k_blk_t
+        else:
+            shape = lanes_heads + (rows.stop - rows.start, kmax)
+            if work is None:  # the first block is the tallest
+                work = np.empty(math.prod(shape[:-1]) * n_keys)
+            scores = np.matmul(q_blk, k_blk_t,
+                               out=work[:math.prod(shape)].reshape(shape))
+        scores *= dh ** -0.5  # in place on arrays; a new tape node on Tensors
         if block_mask is None:
             probs = softmax(scores)
         else:
@@ -425,10 +451,15 @@ def layer_forward(layer: LayerWeights, x: np.ndarray, mask, num_heads: int,
         ctx = (probs @ v_h[..., :kmax, :]).swapaxes(-2, -3).reshape(x_rows.shape)
         attn_out = x_rows + ctx @ layer.w_o
         normed2 = _rms_norm(attn_out, layer.ffn_norm_gain)
-        blocks.append(attn_out + _silu(normed2 @ layer.ffn_in) @ layer.ffn_out)
-    out = blocks[0] if len(blocks) == 1 else concat(blocks, axis=-2)
+        y = attn_out + _silu(normed2 @ layer.ffn_in) @ layer.ffn_out
+        if out is None:
+            blocks.append(y)
+        else:
+            out[..., rows, :] = y
+    if out is None:
+        out = blocks[0] if len(blocks) == 1 else concat(blocks, axis=-2)
     if meter is not None:
-        rows, n_keys, f = x.size // d, keys.shape[-2], layer.ffn_in.shape[1]
+        rows, f = x.size // d, layer.ffn_in.shape[1]
         for shape in ((rows, d, d), (rows, d, d), (rows, d, d), (rows, d, d),
                       (rows, d, f), (rows, f, d)):
             meter.add_matmul(*shape)
@@ -461,10 +492,20 @@ def embed_inputs(model: Model, image_features, text_ids) -> SequenceState:
     """Project image features and embed text ids into one positioned state.
 
     Image features map through a single linear projector; text ids go
-    through the learned table. Positions are assigned 0..N-1.
+    through the learned table. Positions are assigned 0..N-1. Image
+    features must be a finite (n_image, image_feature_dim) array; an empty
+    one may have any shape.
     """
     cfg = model.config
-    feats = np.asarray(image_features, dtype=np.float64).reshape(-1, cfg.image_feature_dim)
+    feats = np.asarray(image_features, dtype=np.float64)
+    if feats.size == 0:
+        feats = feats.reshape(0, cfg.image_feature_dim)
+    elif feats.ndim != 2 or feats.shape[1] != cfg.image_feature_dim:
+        raise ContractViolation(
+            f"image features of shape {feats.shape} are not "
+            f"(n, image_feature_dim {cfg.image_feature_dim})")
+    elif not np.isfinite(feats).all():
+        raise ContractViolation("image features are not finite")
     ids = np.asarray(text_ids, dtype=np.int64).reshape(-1)
     n_img, n_txt = feats.shape[0], ids.shape[0]
     if n_img + n_txt == 0:

@@ -29,8 +29,8 @@ run ``_sparse_forward``, one layer loop over one sequence's rows that
 decides at layer l and carries only the survivors on. A batch runs its
 lanes one after another through the single-sequence calls, so each lane's
 values are exactly its own; on one numpy thread, lanes of mixed length
-also run sooner so than left-padded in lockstep. Cached decoding runs one
-new row per step through ``attend_cached``: at each layer the row's K/V
+also run sooner this way than left-padded in lockstep. Cached decoding runs
+one new row per step through ``attend_cached``: at each layer the row's K/V
 are written once, in place, into the free row of a ``KVCacheStore.slot``,
 the row attends over the slot's views, and admission is whether
 ``commit`` then advances that layer's length. No step copies the cache.

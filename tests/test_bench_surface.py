@@ -52,3 +52,24 @@ def test_no_cache_decode_returns_its_decisions():
     assert logits.shape == (CFG.vocab_size,)
     assert keep.size == int(np.floor(prog["sparsity"].image_keep_rate * 10))
     assert flags.shape == (2,)
+
+
+def test_softmax_kernels_are_called_through_the_module(monkeypatch):
+    """The traced run counts softmax work by wrapping ``kernels.*``; a layer
+    that inlined the softmax or bound the kernels at import would read 0."""
+    from ctxsparse import kernels
+    from ctxsparse.predictors import image_decisions
+
+    calls = {"masked_softmax": 0, "softmax_rows": 0}
+    for name in calls:
+        def counting(*args, _name=name, _real=getattr(kernels, name), **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(kernels, name, counting)
+    prog = small_program()
+    rng = np.random.default_rng(3)
+    m.layer_forward(prog["model"].layers[0], rng.normal(size=(131, 32)),
+                    m.causal_mask(131), CFG.num_heads)
+    assert calls == {"masked_softmax": 3, "softmax_rows": 0}  # one per 64-row block
+    image_decisions(prog["predictors"], rng.normal(size=(70, 32)))
+    assert calls["softmax_rows"] == 2 * len(prog["predictors"].image_blocks)

@@ -59,6 +59,30 @@ def test_embed_inputs_rejects_empty_and_overflow():
                        np.zeros(0, dtype=int))
 
 
+def test_embed_inputs_rejects_misshapen_or_non_finite_features():
+    model = toy_model()  # image_feature_dim 32
+    rng = np.random.default_rng(1)
+    # (10, 16) once became 5 image tokens; (3, 16) raised numpy's own error
+    for feats in (rng.normal(size=(10, 16)), rng.normal(size=(3, 16)),
+                  rng.normal(size=(4, 33)), rng.normal(size=32),
+                  rng.normal(size=(2, 3, 32))):
+        with pytest.raises(ContractViolation, match="image features"):
+            m.embed_inputs(model, feats, [3])
+    for bad in (np.nan, np.inf, -np.inf):
+        feats = rng.normal(size=(4, 32))
+        feats[2, 5] = bad
+        with pytest.raises(ContractViolation, match="finite"):
+            m.embed_inputs(model, feats, [3])
+
+
+def test_embed_inputs_empty_features_of_any_shape():
+    model = toy_model()
+    for empty in ([], np.zeros((0, 5)), np.zeros((3, 0))):
+        state = m.embed_inputs(model, empty, [3, 4])
+        assert state.n_image == 0 and state.image.shape == (0, 64)
+        assert state.n_text == 2
+
+
 def test_layer_forward_shape_and_single_token():
     model = toy_model()
     rng = np.random.default_rng(7)
@@ -221,6 +245,32 @@ def test_layer_forward_rejects_all_zero_row_in_later_block():
     for mask in (one_row, whole_block, one_row[None]):
         with pytest.raises(ContractViolation, match="all zeros"):
             m.layer_forward(model.layers[0], x, mask, 4)
+
+
+def test_layer_forward_workspace_aliases_nothing():
+    """Blocked calls share no buffer with their results, inputs or cache."""
+    model = toy_model(14)
+    layer = model.layers[0]
+    rng = np.random.default_rng(33)
+    x1, x2 = rng.normal(size=(131, 64)), rng.normal(size=(131, 64))
+    mask = m.causal_mask(131)
+    x2_before, mask_before = x2.copy(), mask.copy()
+    first = m.layer_forward(layer, x1, mask, 4)
+    first_before = [a.copy() for a in first]
+    m.layer_forward(layer, x2, mask, 4)
+    for a, before in zip(first, first_before):
+        assert np.array_equal(a, before)
+    assert np.array_equal(x2, x2_before) and np.array_equal(mask, mask_before)
+    # over a slot: the committed rows keep their values, the tail gets k, v
+    cache = m.KVCacheStore(1)
+    cache.extend(0, *m._project_kv(layer, x1[:40], 4), np.arange(40))
+    committed = [a.copy() for a in cache.stacked(0)]
+    slot = cache.slot(0, 64, 131)
+    _, k, v = m.layer_forward(layer, x2, m.causal_mask(171)[40:], 4, past_kv=slot)
+    for view, before, new in zip(slot, committed, (k, v)):
+        assert np.array_equal(view[:40], before)
+        assert np.array_equal(view[40:], new)
+    assert np.array_equal(x2, x2_before)
 
 
 def test_prefill_populates_cache_and_normalizes():
