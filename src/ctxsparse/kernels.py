@@ -40,7 +40,7 @@ def _scores(x) -> np.ndarray:
 def _check_out(x: np.ndarray, out):
     """Raise unless ``out`` is None or a C-contiguous float64 array shaped
     like ``x`` that a softmax can write its result into."""
-    if out is None or out is x and x.flags.c_contiguous:  # x is float64 here
+    if out is None:
         return
     if not (isinstance(out, np.ndarray) and out.shape == x.shape
             and out.dtype == np.float64 and out.flags.c_contiguous):

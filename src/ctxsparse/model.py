@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import io
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,10 +42,11 @@ CHECKPOINT_VERSION = 1
 # Query rows per block in layer_forward. A (4 heads x 64 rows x ~608 keys)
 # float64 score block is about 1.2 MB, which fits a 2 MB per-core L2 cache.
 # Median sparse_prefill of 576 + 32 tokens (default config, one BLAS
-# thread, 2-core Xeon VM) by block size, with a fresh score array per
-# block: 32 -> 69 ms, 64 -> 65 ms, 128 -> 68 ms, 256 -> 73 ms, one
-# unblocked block -> 124 ms. With one score workspace per call (median of
-# 5 processes, busy neighbours): 32 -> 61 ms, 64 -> 62 ms, 128 -> 68 ms.
+# thread, 2-core Xeon VM with busy neighbours; 3 processes, each cycling
+# the sizes 15 times) by block size: 32 -> 45-49 ms, 64 -> 46-51 ms,
+# 128 -> 51-56 ms, 256 -> 65-69 ms. 64 stays: another size changes the
+# lengths of the softmax and probs @ v reductions, so the values would
+# move in their last bits.
 _QUERY_BLOCK = 64
 
 
@@ -385,15 +385,13 @@ def layer_forward(layer: LayerWeights, x: np.ndarray, mask, num_heads: int,
     softmax and ``probs @ v`` only over the leading keys that the mask
     leaves visible to some row of the block: a causal mask never has its
     upper triangle computed, and the columns cut off are exactly those
-    whose probability would be 0. On arrays with ``n > _QUERY_BLOCK`` the
-    call allocates one score workspace, sized for one block over all keys:
-    each block's scores are a C-contiguous prefix of it, the softmax
-    kernels run in place there, and each block's rows are written into one
-    preallocated output. With ``n <= _QUERY_BLOCK`` (every cached decode
-    step) there is one block over all keys, its scores are the matmul's own
-    result, softmaxed in place, and the mask is not read. ``meter`` still
-    counts q @ k^T and probs @ v over the full key range, as the
-    benchmark's analytic FLOP counts (``perfbench/costs.py``) do.
+    whose probability would be 0. On arrays the softmax kernels run in
+    place on each block's scores, the matmul's own result, so a block
+    allocates no second score-sized array. With ``n <= _QUERY_BLOCK``
+    (every cached decode step) there is one block over all keys and the
+    mask is not read. ``meter`` still counts q @ k^T and probs @ v over the
+    full key range, as the benchmark's analytic FLOP counts
+    (``perfbench/costs.py``) do.
     On ``autodiff.Tensor`` rows, weights and mask (training) it records the
     tape, with tape softmax ops in place of the in-place kernels.
     """
@@ -427,21 +425,9 @@ def layer_forward(layer: LayerWeights, x: np.ndarray, mask, num_heads: int,
 
     q_h, k_h, v_h = heads(q), heads(keys), heads(vals)
     n, n_keys = x.shape[-2], keys.shape[-2]
-    work = out = None
-    if not tape and n > _QUERY_BLOCK:
-        lanes_heads = np.broadcast_shapes(q_h.shape[:-2], k_h.shape[:-2])
-        out = np.empty(x.shape)
     blocks = []
     for rows, kmax, block_mask in _query_blocks(mask, n, n_keys):
-        q_blk, k_blk_t = q_h[..., rows, :], k_h[..., :kmax, :].swapaxes(-1, -2)
-        if out is None:
-            scores = q_blk @ k_blk_t
-        else:
-            shape = lanes_heads + (rows.stop - rows.start, kmax)
-            if work is None:  # the first block is the tallest
-                work = np.empty(math.prod(shape[:-1]) * n_keys)
-            scores = np.matmul(q_blk, k_blk_t,
-                               out=work[:math.prod(shape)].reshape(shape))
+        scores = q_h[..., rows, :] @ k_h[..., :kmax, :].swapaxes(-1, -2)
         scores *= dh ** -0.5  # in place on arrays; a new tape node on Tensors
         if block_mask is None:
             probs = softmax(scores)
@@ -451,13 +437,8 @@ def layer_forward(layer: LayerWeights, x: np.ndarray, mask, num_heads: int,
         ctx = (probs @ v_h[..., :kmax, :]).swapaxes(-2, -3).reshape(x_rows.shape)
         attn_out = x_rows + ctx @ layer.w_o
         normed2 = _rms_norm(attn_out, layer.ffn_norm_gain)
-        y = attn_out + _silu(normed2 @ layer.ffn_in) @ layer.ffn_out
-        if out is None:
-            blocks.append(y)
-        else:
-            out[..., rows, :] = y
-    if out is None:
-        out = blocks[0] if len(blocks) == 1 else concat(blocks, axis=-2)
+        blocks.append(attn_out + _silu(normed2 @ layer.ffn_in) @ layer.ffn_out)
+    out = blocks[0] if len(blocks) == 1 else concat(blocks, axis=-2)
     if meter is not None:
         rows, f = x.size // d, layer.ffn_in.shape[1]
         for shape in ((rows, d, d), (rows, d, d), (rows, d, d), (rows, d, d),

@@ -247,8 +247,9 @@ def test_layer_forward_rejects_all_zero_row_in_later_block():
             m.layer_forward(model.layers[0], x, mask, 4)
 
 
-def test_layer_forward_workspace_aliases_nothing():
-    """Blocked calls share no buffer with their results, inputs or cache."""
+def test_layer_forward_in_place_softmax_aliases_nothing():
+    """Blocked calls softmax their scores in place, yet share no buffer with
+    their results, inputs or cache."""
     model = toy_model(14)
     layer = model.layers[0]
     rng = np.random.default_rng(33)
