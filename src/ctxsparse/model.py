@@ -466,7 +466,22 @@ def _project_kv(layer: LayerWeights, tokens: np.ndarray, num_heads: int):
 
 
 def _logits_at(model: Model, hidden_row: np.ndarray) -> np.ndarray:
+    """Next-token logits of (..., d) final-layer rows; arrays or Tensors."""
     return _rms_norm(hidden_row, model.final_norm_gain) @ model.lm_head
+
+
+def _token_ids(ids, vocab_size: int) -> np.ndarray:
+    """``ids`` as a 1-D int64 array. They must be 1-D, of an integer dtype
+    or with integral values, and lie in [0, vocab_size)."""
+    arr = np.asarray(ids)
+    if arr.ndim != 1:
+        raise ContractViolation(f"token ids of shape {arr.shape} are not 1-D")
+    if arr.size and not (np.issubdtype(arr.dtype, np.integer) or (
+            np.issubdtype(arr.dtype, np.floating) and (np.floor(arr) == arr).all())):
+        raise ContractViolation(f"token ids of dtype {arr.dtype} are not integral")
+    if arr.size and (arr.min() < 0 or arr.max() >= vocab_size):  # catches ±inf too
+        raise ContractViolation(f"token id out of vocabulary range [0, {vocab_size})")
+    return arr.astype(np.int64)
 
 
 def embed_inputs(model: Model, image_features, text_ids) -> SequenceState:
@@ -475,7 +490,8 @@ def embed_inputs(model: Model, image_features, text_ids) -> SequenceState:
     Image features map through a single linear projector; text ids go
     through the learned table. Positions are assigned 0..N-1. Image
     features must be a finite (n_image, image_feature_dim) array; an empty
-    one may have any shape.
+    one may have any shape. Text ids must be 1-D, integers or integral
+    values, inside the vocabulary.
     """
     cfg = model.config
     feats = np.asarray(image_features, dtype=np.float64)
@@ -487,7 +503,7 @@ def embed_inputs(model: Model, image_features, text_ids) -> SequenceState:
             f"(n, image_feature_dim {cfg.image_feature_dim})")
     elif not np.isfinite(feats).all():
         raise ContractViolation("image features are not finite")
-    ids = np.asarray(text_ids, dtype=np.int64).reshape(-1)
+    ids = _token_ids(text_ids, cfg.vocab_size)
     n_img, n_txt = feats.shape[0], ids.shape[0]
     if n_img + n_txt == 0:
         raise ContractViolation("embed_inputs: empty image and text input")
@@ -495,8 +511,6 @@ def embed_inputs(model: Model, image_features, text_ids) -> SequenceState:
         raise ContractViolation(
             f"sequence length {n_img + n_txt} exceeds max_seq_len {cfg.max_seq_len}"
         )
-    if ids.size and (ids.min() < 0 or ids.max() >= cfg.vocab_size):
-        raise ContractViolation("text id out of vocabulary range")
     image = feats @ model.image_proj + model.pos_emb[:n_img]
     text = model.token_emb[ids] + model.pos_emb[n_img:n_img + n_txt]
     d = cfg.hidden_dim
@@ -504,7 +518,10 @@ def embed_inputs(model: Model, image_features, text_ids) -> SequenceState:
 
 
 def embed_output_token(model: Model, token_id: int, position: int) -> np.ndarray:
-    """Embedding of one generated token at its original position."""
+    """Embedding of one generated token, an integer or integral value, at
+    its original position."""
+    if not isinstance(token_id, (int, np.integer)):
+        token_id = _token_ids([token_id], model.config.vocab_size)[0]
     if not 0 <= token_id < model.config.vocab_size:
         raise ContractViolation(f"token id {token_id} out of vocabulary range")
     if not 0 <= position < model.config.max_seq_len:

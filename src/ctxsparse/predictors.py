@@ -115,15 +115,17 @@ def _decision_mlp(x, ws, bs):
     return x
 
 
-def image_decisions(p: Predictors, image_hidden: np.ndarray) -> np.ndarray:
+def image_decisions(p: Predictors, image_hidden):
     """Keep/drop scores for image tokens from their sparsify-layer features.
 
-    Attention inside the predictor is bidirectional over image tokens only.
-    Returns an (n_image, 2) matrix; empty input yields a (0, 2) matrix.
+    ``image_hidden`` is an array or an ``autodiff.Tensor`` of shape
+    (..., n_image, d), and ``p`` may hold Tensor weights (training).
+    Attention inside the predictor is bidirectional over each set's image
+    tokens only. Returns (..., n_image, 2) scores; empty input yields
+    zeros of that shape.
     """
-    image_hidden = np.asarray(image_hidden, dtype=np.float64)
-    if image_hidden.shape[0] == 0:
-        return np.zeros((0, 2))
+    if image_hidden.shape[-2] == 0:
+        return np.zeros(image_hidden.shape[:-1] + (2,))
     x = image_hidden @ p.image_proj + p.image_proj_bias
     for blk in p.image_blocks:
         x = layer_forward(blk, x, None, p.config.num_heads)[0]
@@ -147,11 +149,14 @@ def image_decisions_batched(p: Predictors, image_hidden: np.ndarray,
     return _decision_mlp(x, p.image_mlp_w, p.image_mlp_b)
 
 
-def output_decisions(p: Predictors, output_hidden: np.ndarray) -> np.ndarray:
-    """Keep/drop scores for output tokens; row i depends only on token i."""
-    output_hidden = np.asarray(output_hidden, dtype=np.float64)
-    if output_hidden.shape[0] == 0:
-        return np.zeros((0, 2))
+def output_decisions(p: Predictors, output_hidden):
+    """Keep/drop scores for output tokens; row i depends only on token i.
+
+    Takes an array or an ``autodiff.Tensor`` of shape (..., n_output, d),
+    like ``image_decisions``, and returns (..., n_output, 2) scores.
+    """
+    if output_hidden.shape[-2] == 0:
+        return np.zeros(output_hidden.shape[:-1] + (2,))
     x = output_hidden @ p.output_proj + p.output_proj_bias
     return _decision_mlp(x, p.output_mlp_w, p.output_mlp_b)
 
@@ -166,15 +171,13 @@ def decisions_to_mask(decisions: np.ndarray) -> np.ndarray:
 
 
 def select_topk_keep(decisions: np.ndarray, keep_rate: float) -> np.ndarray:
-    """Indices of the floor(keep_rate * n) tokens with the highest keep
-    scores, sorted ascending; lower index wins ties."""
+    """Indices of the max(1, floor(keep_rate * n)) tokens with the highest
+    keep scores, sorted ascending; lower index wins ties. Like the random
+    and structure policies, a non-empty set keeps at least one token; an
+    empty one gives no indices."""
     decisions = np.asarray(decisions, dtype=np.float64)
     if not 0.0 < keep_rate <= 1.0:
         raise ContractViolation(f"keep_rate must be in (0, 1], got {keep_rate}")
     n = decisions.shape[0]
-    k = int(np.floor(keep_rate * n))
-    if n > 0 and k == 0:
-        raise ContractViolation(
-            f"keep_rate {keep_rate} with {n} tokens keeps nothing"
-        )
+    k = min(n, max(1, int(np.floor(keep_rate * n))))
     return kernels.topk_argmax(decisions[:, 1], k)

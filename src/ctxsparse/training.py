@@ -7,8 +7,12 @@ layer (layers at or below it use the plain causal mask). Masked-out tokens
 still self-attend, so the loss can be computed at every output position,
 which is exactly what naive zeroing of dropped tokens breaks (that "hard
 drop" variant is kept behind a flag as a documented negative control).
-Layers and predictors run the inference code (``model.layer_forward``,
-``predictors._decision_mlp``) on ``autodiff.Tensor`` leaves.
+The forward runs the inference functions themselves: ``model.layer_forward``
+for every layer, ``predictors.image_decisions`` / ``output_decisions`` for
+the keep scores and ``model._logits_at`` for the logits. It runs them on
+copies of the ``Model`` and ``Predictors`` whose weights are
+``autodiff.Tensor`` leaves over the live arrays, and the optimizer updates
+those arrays in place from the leaves' gradients.
 
 Discrete decisions are trained with a temperature-annealed Gumbel-Softmax
 relaxation and a straight-through estimator: the forward pass uses the hard
@@ -20,15 +24,17 @@ sequences shorter than ``min_output_len``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+import copy
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .errors import ContractViolation
-from .model import LayerWeights, Model, causal_mask, layer_forward
-from .predictors import Predictors, _decision_mlp
-from .sparsify import SparsityConfig
+from .model import (Model, _logits_at, causal_mask, embed_inputs, embed_output_token,
+                    layer_forward)
+from .predictors import Predictors, image_decisions, output_decisions
+from .sparsify import SparsityConfig, sparse_decode_with_cache, sparse_prefill
 
 
 @dataclass
@@ -132,41 +138,19 @@ def _mask_matrix_t(flags: ad.Tensor, n: int) -> ad.Tensor:
 # -- differentiable forward ------------------------------------------------------
 
 
-def _layer_weights_t(params, prefix: str) -> LayerWeights:
-    """The ``params[prefix + name]`` leaves as one layer's weights."""
-    return LayerWeights(**{f.name: params[prefix + f.name] for f in fields(LayerWeights)})
-
-
-def _image_predictor_t(params, x: ad.Tensor, num_heads: int) -> ad.Tensor:
-    x = x @ params["image.proj"] + params["image.proj_bias"]
-    for i in range(2):
-        x = layer_forward(_layer_weights_t(params, f"image.block{i}."), x, None,
-                          num_heads)[0]
-    return _mlp_t(params, "image", x)
-
-
-def _mlp_t(params, which: str, x: ad.Tensor) -> ad.Tensor:
-    """``predictors._decision_mlp`` on the ``{which}.mlp{i}.*`` leaves."""
-    layers = [i for i in range(len(params)) if f"{which}.mlp{i}.w" in params]
-    return _decision_mlp(x, [params[f"{which}.mlp{i}.w"] for i in layers],
-                         [params[f"{which}.mlp{i}.b"] for i in layers])
-
-
-def _output_predictor_t(params, x: ad.Tensor) -> ad.Tensor:
-    x = x @ params["output.proj"] + params["output.proj_bias"]
-    return _mlp_t(params, "output", x)
-
-
-def training_forward(params, model_cfg, batch: TrainBatch, sparsity: SparsityConfig,
-                     train_cfg: TrainConfig, tau: float,
+def training_forward(model: Model, predictors: Predictors, batch: TrainBatch,
+                     sparsity: SparsityConfig, train_cfg: TrainConfig, tau: float,
                      noise_image=None, noise_output=None,
                      forced_masks=None, hard_drop=False, trace_hidden=None,
-                     predictor_heads: int = 4, lambda_weight=None):
+                     lambda_weight=None):
     """Build the training graph for one equal-shape batch.
 
-    Returns (loss Tensor, info dict). ``forced_masks`` bypasses the
-    predictors with fixed (B, n_image) and (B, n_output) keep flags, which
-    is how the masked-vs-hard equivalence suite drives this path.
+    ``model`` and ``predictors`` hold ``autodiff.Tensor`` weights (see
+    ``_tape_copies``); their layers, predictors and logits head are the
+    inference functions. Returns (loss Tensor, info dict).
+    ``forced_masks`` bypasses the predictors with fixed (B, n_image) and
+    (B, n_output) keep flags, which is how the masked-vs-hard equivalence
+    suite drives this path.
     ``hard_drop`` zeroes dropped token vectors instead of masking attention
     (the documented breakage variant).
     """
@@ -175,22 +159,18 @@ def training_forward(params, model_cfg, batch: TrainBatch, sparsity: SparsityCon
     n_txt = batch.text_ids.shape[1]
     n_out = batch.output_ids.shape[1]
     n_total = n_img + n_txt + n_out
-    d = model_cfg.hidden_dim
     split = sparsity.sparsify_layer
-    positions = np.arange(n_total)
-    pos = params["pos_emb"][positions]
     segments = []
     if n_img:
-        segments.append(ad.constant(batch.image_feats) @ params["image_proj"])
+        segments.append(ad.constant(batch.image_feats) @ model.image_proj)
     if n_txt:
-        segments.append(params["token_emb"][batch.text_ids])
-    segments.append(params["token_emb"][batch.output_ids])
+        segments.append(model.token_emb[batch.text_ids])
+    segments.append(model.token_emb[batch.output_ids])
     x = ad.concat(segments, axis=1) if len(segments) > 1 else segments[0]
-    x = x + pos
+    x = x + model.pos_emb[:n_total]
     tri = ad.constant(causal_mask(n_total)[None, None, :, :])
-    for li in range(split):
-        x = layer_forward(_layer_weights_t(params, f"layers.{li}."), x, tri,
-                          model_cfg.num_heads)[0]
+    for layer in model.layers[:split]:
+        x = layer_forward(layer, x, tri, model.config.num_heads)[0]
         if trace_hidden is not None:
             trace_hidden.append(x.data)
 
@@ -204,13 +184,12 @@ def training_forward(params, model_cfg, batch: TrainBatch, sparsity: SparsityCon
         # scale. The predictors still train end-to-end through the masked
         # attention and the straight-through mask path.
         if n_img:
-            d_img = _image_predictor_t(params, x[:, :n_img].detach(),
-                                       predictor_heads)
+            d_img = image_decisions(predictors, x[:, :n_img].detach())
             relaxed = gumbel_softmax_rows(d_img, tau, noise_image)
             m_img = ste_mask(relaxed)
         else:
             m_img = ad.constant(np.zeros((bsz, 0)))
-        d_out = _output_predictor_t(params, x[:, n_img + n_txt:].detach())
+        d_out = output_decisions(predictors, x[:, n_img + n_txt:].detach())
         relaxed_out = gumbel_softmax_rows(d_out, tau, noise_output)
         m_out = ste_mask(relaxed_out)
 
@@ -221,14 +200,12 @@ def training_forward(params, model_cfg, batch: TrainBatch, sparsity: SparsityCon
         mask_beyond = tri
     else:
         mask_beyond = _mask_matrix_t(flags, n_total).reshape(bsz, 1, n_total, n_total)
-    for li in range(split, model_cfg.num_layers):
-        x = layer_forward(_layer_weights_t(params, f"layers.{li}."), x, mask_beyond,
-                          model_cfg.num_heads)[0]
+    for layer in model.layers[split:]:
+        x = layer_forward(layer, x, mask_beyond, model.config.num_heads)[0]
         if trace_hidden is not None:
             trace_hidden.append(x.data)
 
-    pred_rows = x[:, n_img + n_txt - 1: n_total - 1]
-    logits = ad.rms_norm(pred_rows, params["final_norm_gain"]) @ params["lm_head"]
+    logits = _logits_at(model, x[:, n_img + n_txt - 1: n_total - 1])
     shift = ad.constant(np.max(logits.data, axis=-1, keepdims=True))
     lse = (logits - shift).exp().sum(axis=-1).log() + shift.reshape(bsz, n_out)
     rows = np.arange(bsz)[:, None], np.arange(n_out)[None, :], batch.output_ids
@@ -260,6 +237,17 @@ def _grouped_arrays(model: Model, predictors: Predictors):
         yield "model." + name, arr
     for name, arr in predictors.parameters().items():
         yield "predictor." + name, arr
+
+
+def _tape_copies(model: Model, predictors: Predictors):
+    """Autodiff leaves over the live weights, keyed by ``_grouped_arrays``
+    name, and copies of ``model`` and ``predictors`` that hold the leaves in
+    place of the arrays. The originals are left as they are."""
+    arrays = dict(_grouped_arrays(model, predictors))
+    leaves = {name: ad.Tensor(arr) for name, arr in arrays.items()}
+    # deepcopy returns a memoised object as is, so each array becomes its leaf
+    memo = {id(arrays[name]): leaf for name, leaf in leaves.items()}
+    return (leaves, *copy.deepcopy((model, predictors), memo))
 
 
 class SgdMomentum:
@@ -353,28 +341,18 @@ def training_step(model: Model, predictors: Predictors, batch: TrainBatch,
     n_out = batch.output_ids.shape[1]
     noise_image = gumbel_noise(rng, (bsz, n_img, 2)) if n_img else None
     noise_output = gumbel_noise(rng, (bsz, n_out, 2))
-    leafs = {name: ad.Tensor(arr) for name, arr in model.parameters().items()}
-    pred_names = set()
-    for name, arr in predictors.parameters().items():
-        leafs[name] = ad.Tensor(arr)
-        pred_names.add(name)
+    leaves, tape_model, tape_predictors = _tape_copies(model, predictors)
     forced = None
     if random_mask_control:
         forced = _random_control_masks(rng, bsz, n_img, n_out, sparsity)
     lam = train_cfg.lambda_at(step_index)
     loss, info = training_forward(
-        leafs, model.config, batch, sparsity, train_cfg, tau,
+        tape_model, tape_predictors, batch, sparsity, train_cfg, tau,
         noise_image=noise_image, noise_output=noise_output,
-        forced_masks=forced,
-        predictor_heads=predictors.config.num_heads, lambda_weight=lam)
+        forced_masks=forced, lambda_weight=lam)
     loss.backward()
-    grads = {}
-    for name, leaf in leafs.items():
-        if leaf.grad is None:
-            continue
-        prefix = "predictor." if name in pred_names else "model."
-        grads[prefix + name] = leaf.grad
-    optimizer.step(grads)
+    optimizer.step({name: leaf.grad for name, leaf in leaves.items()
+                    if leaf.grad is not None})
     return LossBreakdown(total=info["cross_entropy"] + lam * info["regularizer"], **info)
 
 
@@ -410,9 +388,6 @@ def evaluate_policy_loss(model: Model, predictors: Predictors, samples,
     next-token loss the paper's static baselines are compared on, with the
     active policy deciding which tokens survive.
     """
-    from .model import embed_inputs, embed_output_token
-    from .sparsify import sparse_decode_with_cache, sparse_prefill
-
     total, count = 0.0, 0
     for sample in samples:
         state = embed_inputs(model, sample.image_feats, sample.text_ids)

@@ -307,6 +307,28 @@ def test_embed_output_token_rejects_token_id_past_vocabulary():
                           model.token_emb[-1] + model.pos_emb[5])
 
 
+def test_embed_inputs_rejects_non_integral_or_non_1d_text_ids():
+    model = toy_model()
+    feats = np.zeros((2, 32))
+    # [3.7, 2.2] once embedded tokens 3 and 2, and a (2, 2) array 4 tokens
+    for ids in ([3.7, 2.2], np.array([[1, 2], [3, 4]]), np.array(5), [np.nan],
+                ["a"]):
+        with pytest.raises(ContractViolation, match="token ids"):
+            m.embed_inputs(model, feats, ids)
+    integral = m.embed_inputs(model, feats, np.array([3.0, 4.0]))
+    assert np.array_equal(integral.text, m.embed_inputs(model, feats, [3, 4]).text)
+
+
+def test_embed_output_token_rejects_non_integral_token_id():
+    model = toy_model()
+    with pytest.raises(ContractViolation, match="token ids"):
+        m.embed_output_token(model, 3.7, 5)  # once numpy's own IndexError
+    with pytest.raises(ContractViolation, match="token ids"):
+        m.append_output(model, toy_state(model), 2.5)
+    assert np.array_equal(m.embed_output_token(model, 3.0, 5),
+                          m.embed_output_token(model, 3, 5))
+
+
 def test_embed_output_token_rejects_negative_position():
     model = toy_model()
     with pytest.raises(ContractViolation, match="position"):

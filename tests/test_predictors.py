@@ -79,8 +79,12 @@ def test_select_topk_keep_counts_and_errors():
     assert pr.select_topk_keep(d, 1.0).size == 576
     small = np.array([[0.0, 0.9], [0.0, 0.1], [0.0, 0.7], [0.0, 0.3]])
     assert pr.select_topk_keep(small, 0.5).tolist() == [0, 2]
+    # floor(0.3) == 0, so the single best token is kept
+    assert pr.select_topk_keep(np.array([[0.0, 0.1], [0.0, 0.7], [0.0, 0.3]]),
+                               0.1).tolist() == [1]
+    assert pr.select_topk_keep(np.zeros((0, 2)), 0.1).tolist() == []
     with pytest.raises(ContractViolation):
-        pr.select_topk_keep(np.zeros((3, 2)), 0.1)  # floor(0.3) == 0
+        pr.select_topk_keep(d, 0.0)
 
 
 def test_select_topk_cardinality_sweep():

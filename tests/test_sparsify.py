@@ -99,6 +99,14 @@ def test_sparse_prefill_paper_token_counts():
     assert np.isfinite(logits).all()
 
 
+def test_learned_sparse_prefill_keeps_one_of_a_few_image_tokens():
+    # floor(0.2 * 4) == 0: top-k keeps the best-scored image token
+    model, preds, state = setup(7, n_image=4)
+    _, cache, keep = sp.sparse_prefill(model, preds, state, sp.SparsityConfig())
+    assert keep.size == 1
+    assert cache.lengths() == [8, 8, 5, 5]
+
+
 def test_sparse_prefill_layers_below_split_unchanged():
     model, preds, state = setup(5)
     heads = model.config.num_heads

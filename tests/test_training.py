@@ -11,12 +11,12 @@ CFG = m.ModelConfig(num_layers=4, hidden_dim=64, num_heads=4, ffn_dim=128,
                     vocab_size=96, max_seq_len=256, image_feature_dim=32)
 
 
-def masked_training_logits(model, batch, sparsity, masks, hard_drop=False):
+def masked_training_logits(model, preds, batch, sparsity, masks, hard_drop=False):
     """Next-token logits of every output position from the final-layer rows
     of ``training_forward`` run with fixed keep flags."""
-    params = {name: ad.Tensor(arr) for name, arr in model.parameters().items()}
+    _, tape_model, tape_preds = tr._tape_copies(model, preds)
     hidden = []
-    tr.training_forward(params, model.config, batch, sparsity, tr.TrainConfig(),
+    tr.training_forward(tape_model, tape_preds, batch, sparsity, tr.TrainConfig(),
                         tau=1.0, forced_masks=masks, hard_drop=hard_drop,
                         trace_hidden=hidden)
     n_prefill = batch.image_feats.shape[1] + batch.text_ids.shape[1]
@@ -49,19 +49,19 @@ def test_masked_training_equals_hard_drop_inference():
         step = m.SequenceState(state.image, state.text, state.output[:j + 1],
                                list(output_ids[:j + 1]))
         inference.append(sp.sparse_decode_no_cache(model, preds, step, sparsity))
-    masked = masked_training_logits(model, batch, sparsity, masks)
+    masked = masked_training_logits(model, preds, batch, sparsity, masks)
     for got, want in zip(masked, inference):
         assert np.abs(got - want).max() <= 1e-9
     # zeroing dropped tokens instead of masking them (the negative control)
-    hard = masked_training_logits(model, batch, sparsity, masks, hard_drop=True)
+    hard = masked_training_logits(model, preds, batch, sparsity, masks, hard_drop=True)
     assert max(np.abs(got - want).max() for got, want in zip(hard, inference)) > 1e-3
 
 
 def test_autodiff_image_predictor_matches_numpy_predictor():
     preds = make_predictors(PredictorConfig(input_dim=64), seed=43)
-    params = {name: ad.Tensor(arr) for name, arr in preds.parameters().items()}
+    _, _, tape_preds = tr._tape_copies(m.make_model(CFG), preds)
     hidden = np.random.default_rng(44).normal(size=(3, 150, 64))
-    got = tr._image_predictor_t(params, ad.Tensor(hidden), preds.config.num_heads).data
+    got = image_decisions(tape_preds, ad.Tensor(hidden)).data
     for b in range(3):
         assert np.abs(got[b] - image_decisions(preds, hidden[b])).max() <= 1e-12
 
@@ -103,12 +103,13 @@ def test_training_forward_gradcheck_past_one_query_block():
                           rng.integers(1, 16, size=(2, 6)))
     masks = ((rng.random((2, 60)) < 0.3).astype(np.float64),
              np.array([[1.0, 0, 1, 1, 0, 1], [0, 1, 1, 0, 1, 1]]))
-    names = list(model.parameters())
-    leaves = [ad.Tensor(arr) for arr in model.parameters().values()]
+    _, tape_model, tape_preds = tr._tape_copies(
+        model, make_predictors(PredictorConfig(input_dim=8), seed=48))
+    leaves = list(tape_model.parameters().values())
     sparsity = sp.SparsityConfig(sparsify_layer=1)
 
-    def loss(*tensors):
-        return tr.training_forward(dict(zip(names, tensors)), cfg, batch, sparsity,
+    def loss(*tensors):  # gradcheck perturbs the leaves inside tape_model
+        return tr.training_forward(tape_model, tape_preds, batch, sparsity,
                                    tr.TrainConfig(), tau=1.0, forced_masks=masks)[0]
     ad.gradcheck(loss, leaves, rng=rng)
 
@@ -121,10 +122,8 @@ def test_training_forward_gradcheck_past_one_query_block():
         [flags, x], rng=rng, probes_per_input=20)
 
 
-def tiny_training_run(random_mask_control=False):
-    """Three ``run_training`` steps of a small keyed-lookup model. Returns
-    the log, the config and every weight (by optimizer name) before and
-    after."""
+def keyed_lookup_setup():
+    """A small keyed-lookup task, model, predictors and three-step config."""
     task = tasks.KeyedLookupTask()
     cfg = m.ModelConfig(num_layers=2, hidden_dim=32, num_heads=2, ffn_dim=64,
                         vocab_size=task.min_vocab, max_seq_len=64,
@@ -133,6 +132,14 @@ def tiny_training_run(random_mask_control=False):
     preds = make_predictors(PredictorConfig(input_dim=32), seed=51)
     train_cfg = tr.TrainConfig(total_steps=3, batch_size=2, min_output_len=0,
                                tau_initial=2.0, seed=52)
+    return task, model, preds, train_cfg
+
+
+def tiny_training_run(random_mask_control=False):
+    """Three ``run_training`` steps of a small keyed-lookup model. Returns
+    the log, the config and every weight (by optimizer name) before and
+    after."""
+    task, model, preds, train_cfg = keyed_lookup_setup()
 
     def weights():
         return {name: arr.copy() for name, arr in tr._grouped_arrays(model, preds)}
@@ -160,3 +167,45 @@ def test_run_training_random_control_freezes_predictors():
     _, _, before, after = tiny_training_run(random_mask_control=True)
     moved = {name for name, arr in before.items() if not np.array_equal(arr, after[name])}
     assert moved and all(name.startswith("model.") for name in moved)
+
+
+def test_run_training_updates_the_live_weights_in_place():
+    task, model, preds, train_cfg = keyed_lookup_setup()
+    live = dict(tr._grouped_arrays(model, preds))
+    before = {name: arr.copy() for name, arr in live.items()}
+    tr.run_training(model, preds, task, train_cfg, sp.SparsityConfig(sparsify_layer=1))
+    after = dict(tr._grouped_arrays(model, preds))
+    assert after.keys() == live.keys()
+    for name, arr in after.items():
+        assert arr is live[name]
+        assert not np.array_equal(arr, before[name]), name
+    # no autodiff copy of a weight is left behind in the live objects
+    for weights in model.layers + preds.image_blocks:
+        assert all(type(arr) is np.ndarray for arr in vars(weights).values())
+
+
+def teacher_forced_dense_loss(model, samples):
+    """Mean next-token cross-entropy of every sample's outputs, read off
+    ``full_logits`` of the whole sequence."""
+    losses = []
+    for sample in samples:
+        state = m.embed_inputs(model, sample.image_feats, sample.text_ids)
+        for token in sample.output_ids:
+            m.append_output(model, state, int(token))
+        rows = m.full_logits(model, state)[state.n_prefill - 1:-1]
+        shift = rows.max(axis=1)
+        log_z = np.log(np.exp(rows - shift[:, None]).sum(axis=1)) + shift
+        losses.extend(log_z - rows[np.arange(len(rows)), sample.output_ids])
+    return float(np.mean(losses))
+
+
+def test_evaluate_policy_loss_at_keep_all_is_the_dense_loss():
+    task, model, preds, _ = keyed_lookup_setup()
+    samples = task.eval_samples(np.random.default_rng(53), 2)
+    keep_all = sp.SparsityConfig(sparsify_layer=0, image_keep_rate=1.0,
+                                 output_keep_rate=1.0)
+    got = tr.evaluate_policy_loss(model, preds, samples, keep_all)
+    assert abs(got - teacher_forced_dense_loss(model, samples)) <= 1e-9
+    sparse = tr.evaluate_policy_loss(model, preds, samples,
+                                     sp.SparsityConfig(sparsify_layer=1))
+    assert np.isfinite(sparse)
