@@ -272,39 +272,40 @@ def rms_norm(x, gain, eps: float = 1e-6):
     return x * scale * gain
 
 
+def exp_rows_lastdim(x: Tensor, mask=None):
+    """Tape twin of ``kernels.exp_rows``: ``(e, e.sum(-1, keepdims=True))``,
+    with ``e / sums`` the softmax, differentiable in the scores and the mask
+    (a Tensor or array broadcasting to ``x``; None hides nothing). The shift,
+    a constant, is the row max over unmasked entries; only masked entries
+    lie above it, and their exp is capped at 1 so they stay finite.
+    """
+    if mask is None:
+        live_max = x.data.max(axis=-1, keepdims=True)
+    else:
+        mask = _wrap(mask)
+        keep = mask.data != 0.0
+        if not keep.any(axis=-1).all():
+            raise ContractViolation("masked_softmax: a mask row is all zeros")
+        live_max = np.where(keep, x.data, -np.inf).max(axis=-1, keepdims=True)
+    z = x.data - live_max
+    e_data = np.exp(np.minimum(z, 0.0))
+    e = Tensor(e_data, ((x, lambda g, o=e_data, live=z <= 0.0: g * o * live),))
+    if mask is not None:
+        e = e * mask
+    return e, e.sum(axis=-1, keepdims=True)
+
+
 def softmax_lastdim(x: Tensor) -> Tensor:
     """Softmax over the last axis; the max shift is treated as a constant."""
-    shift = constant(np.max(x.data, axis=-1, keepdims=True))
-    e = (x - shift).exp()
-    return e / e.sum(axis=-1, keepdims=True)
-
-
-def _exp_capped_zero(t: Tensor) -> Tensor:
-    """exp(min(z, 0)): exact for z <= 0, saturated at 1 above.
-
-    Entries above zero are always masked downstream, so saturating them
-    keeps the forward bounded and the backward finite without touching the
-    live entries.
-    """
-    out_data = np.exp(np.minimum(t.data, 0.0))
-    live = t.data <= 0.0
-    return Tensor(out_data, ((t, lambda g, o=out_data, m=live: g * o * m),))
+    e, sums = exp_rows_lastdim(x)
+    return e / sums
 
 
 def masked_softmax_lastdim(x: Tensor, mask: Tensor) -> Tensor:
-    """Softmax over the last axis restricted by a binary mask.
-
-    Differentiable in both the scores and the mask. Scores shift by the
-    per-row max over unmasked entries, so the largest live entry maps to
-    exp(0) = 1 and the denominator can never vanish; masked entries are
-    exactly zero in the output.
-    """
-    keep = mask.data != 0.0
-    if not keep.any(axis=-1).all():
-        raise ContractViolation("masked_softmax: a mask row is all zeros")
-    live_max = np.max(np.where(keep, x.data, -np.inf), axis=-1, keepdims=True)
-    e = _exp_capped_zero(x - constant(live_max)) * mask
-    return e / e.sum(axis=-1, keepdims=True)
+    """Softmax over the last axis restricted by a binary mask, differentiable
+    in both the scores and the mask; masked entries are exactly zero."""
+    e, sums = exp_rows_lastdim(x, mask)
+    return e / sums
 
 
 def ste_hard_decision(relaxed: Tensor) -> Tensor:

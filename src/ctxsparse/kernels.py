@@ -1,17 +1,16 @@
 """Deterministic dense numeric primitives the rest of the engine is built on.
 
-Every kernel is a pure function over float64 arrays. Reduction orders are
-fixed, so repeated calls on equal inputs are bit-identical. Ties in the
-argmax family always break toward the lower index.
+Every kernel but the in-place ``exp_rows`` is a pure function over float64
+arrays. Reduction orders are fixed, so repeated calls on equal inputs are
+bit-identical. Ties in the argmax family always break toward the lower index.
 
-The two softmax kernels work over the last axis of scores of any rank >= 2.
-``masked_softmax`` takes a mask that broadcasts to the scores, so a shared
-(N, N) mask is never copied per head or per sample. Each kernel does its
-arithmetic in place on one C-contiguous result array, so every row is
-reduced in the same order whatever the input's memory layout. Without
-``out=`` that array is allocated by the call and the input is never
-mutated; with ``out=`` the result is written into ``out``, which may be the
-input itself, and nothing score-sized is allocated.
+``exp_rows`` exponentiates scores of any rank >= 2 in place, zeroing what a
+mask hides, and returns the row sums, so ``model.layer_forward`` divides
+``exp_scores @ v`` rather than the scores. A mask broadcasts to the scores
+and is never copied per head or per sample. ``softmax_rows`` and
+``masked_softmax`` run it on a C-contiguous copy of their input (into
+``out=`` if given, possibly the input itself) and divide, so every row is
+reduced in the same order whatever the input's layout.
 """
 
 from __future__ import annotations
@@ -29,58 +28,29 @@ def as_matrix(x) -> np.ndarray:
     return a
 
 
-def _scores(x) -> np.ndarray:
-    """Coerce softmax input to a float64 array of rank >= 2."""
-    a = np.asarray(x, dtype=np.float64)
-    if a.ndim < 2:
-        raise ContractViolation(f"expected rank >= 2 scores, got shape {a.shape}")
-    return a
-
-
-def _check_out(x: np.ndarray, out):
-    """Raise unless ``out`` is None or a C-contiguous float64 array shaped
-    like ``x`` that a softmax can write its result into."""
+def _softmax_input(x, out, g=None) -> np.ndarray:
+    """``x`` as float64 scores of rank >= 2 copied into ``out`` (a C-contiguous
+    float64 array of their shape, possibly ``x`` itself) or, without ``out``,
+    into a fresh one. A mask ``g`` is checked first, so a rejected one leaves
+    ``out`` unwritten."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim < 2:
+        raise ContractViolation(f"expected rank >= 2 scores, got shape {x.shape}")
+    if g is not None:
+        _hidden(x, g)
     if out is None:
-        return
+        return np.array(x, order="C")
     if not (isinstance(out, np.ndarray) and out.shape == x.shape
             and out.dtype == np.float64 and out.flags.c_contiguous):
         raise ContractViolation(
             f"softmax out= must be a C-contiguous float64 array of shape {x.shape}")
+    if out is not x:
+        np.copyto(out, x)
+    return out
 
 
-def softmax_rows(x, out=None) -> np.ndarray:
-    """Softmax over the last axis with max subtraction for stability.
-
-    ``x`` has rank >= 2; every slice along the last axis is one row. The
-    result goes to ``out`` (a C-contiguous float64 array shaped like ``x``,
-    possibly ``x`` itself) and is returned; without ``out`` it is a fresh
-    C-contiguous array, the only full-size allocation, and ``x`` is never
-    written. Each output row sums to 1 within 1e-12 in double precision.
-    """
-    x = _scores(x)
-    _check_out(x, out)
-    e = np.subtract(x, x.max(axis=-1, keepdims=True), out=out, order="C")
-    np.exp(e, out=e)
-    e /= e.sum(axis=-1, keepdims=True)
-    return e
-
-
-def masked_softmax(x, g, out=None) -> np.ndarray:
-    """Softmax over the last axis restricted to entries where the mask is
-    nonzero.
-
-    ``x`` has rank >= 2 and ``g`` broadcasts to ``x.shape`` (e.g. an (N, N)
-    mask over (H, N, N) head scores), so callers never expand the mask.
-    Entry (..., i, j) is exp(x_ij)*g_ij / sum_k exp(x_ik)*g_ik. Masked
-    entries are exactly 0 in the output. The result goes to ``out`` (a
-    C-contiguous float64 array shaped like ``x``, possibly ``x`` itself) and
-    is returned; without ``out`` it is a fresh C-contiguous array, the only
-    full-size allocation, and ``x`` is never written. The mask is checked
-    before anything is written. With an all-ones mask each element takes
-    the same operations as in ``softmax_rows``, so the values are
-    bit-identical.
-    """
-    x = _scores(x)
+def _hidden(x: np.ndarray, g) -> np.ndarray:
+    """``logical_not(g)``, once ``g`` is checked against the scores ``x``."""
     hidden = np.logical_not(g)
     if not 1 <= hidden.ndim <= x.ndim or any(
             m not in (1, n) for m, n in zip(hidden.shape[::-1], x.shape[::-1])):
@@ -88,14 +58,45 @@ def masked_softmax(x, g, out=None) -> np.ndarray:
             f"mask of shape {np.shape(g)} does not broadcast to scores {x.shape}")
     if x.shape[-1] == 0 or hidden.all(axis=-1).any():
         raise ContractViolation("masked_softmax: a mask row is all zeros")
-    _check_out(x, out)
-    e = np.empty(x.shape) if out is None else out
-    if e is not x:
-        np.copyto(e, x)
-    np.copyto(e, -np.inf, where=hidden)
-    e -= e.max(axis=-1, keepdims=True)
-    np.exp(e, out=e)  # exp(-inf) == 0.0 exactly
-    e /= e.sum(axis=-1, keepdims=True)
+    return hidden
+
+
+def exp_rows(x: np.ndarray, g=None) -> np.ndarray:
+    """Unnormalized softmax over the last axis, in place; returns the row sums.
+
+    ``x``: a writable C-contiguous float64 array of rank >= 2. Entries the
+    mask ``g`` hides (it broadcasts to ``x``; None hides none) become 0.0,
+    the rest exp(x - their row's visible max); ``x / sums`` is the softmax.
+    The mask is checked before anything is written.
+    """
+    if not (isinstance(x, np.ndarray) and x.ndim >= 2 and x.dtype == np.float64
+            and x.flags.c_contiguous and x.flags.writeable):
+        raise ContractViolation("exp_rows works in place on a writable "
+                                "C-contiguous float64 array of rank >= 2")
+    if g is not None:
+        np.copyto(x, -np.inf, where=_hidden(x, g))
+    x -= x.max(axis=-1, keepdims=True)
+    np.exp(x, out=x)  # exp(-inf) == 0.0 exactly
+    return x.sum(axis=-1, keepdims=True)
+
+
+def softmax_rows(x, out=None) -> np.ndarray:
+    """Softmax over the last axis with max subtraction for stability:
+    ``exp_rows`` on a copy of ``x`` (see the module note on ``out=``),
+    divided by the row sums. Rows sum to 1 within 1e-12."""
+    e = _softmax_input(x, out)
+    e /= exp_rows(e)
+    return e
+
+
+def masked_softmax(x, g, out=None) -> np.ndarray:
+    """Softmax over the last axis restricted to entries where the mask ``g``
+    (it broadcasts to ``x``) is nonzero: ``exp_rows`` on a copy of ``x``,
+    divided by the row sums. Masked entries are exactly 0. ``g`` is checked
+    before anything, ``out=`` included, is written. An all-ones mask gives
+    the values of ``softmax_rows`` bit for bit."""
+    e = _softmax_input(x, out, g)
+    e /= exp_rows(e, g)
     return e
 
 

@@ -19,7 +19,8 @@ a step copies no cached row), the image predictor's blocks over whole
 token sets with no mask, and training over ``autodiff.Tensor`` rows with
 the masked-attention training mask. It runs in blocks of query rows and
 skips the key columns the mask hides from a whole block, such as the upper
-triangle of a causal mask.
+triangle of a causal mask. It normalizes late, dividing ``exp_scores @ v``
+by the row sums that ``kernels.exp_rows`` returns.
 
 Positions are always the ORIGINAL positions assigned at embedding time, so
 removing tokens later never renumbers the survivors.
@@ -382,33 +383,28 @@ def layer_forward(layer: LayerWeights, x: np.ndarray, mask, num_heads: int,
 
     After the q/k/v projections the rows run in blocks of ``_QUERY_BLOCK``
     (attention, output projection and FFN). Each block computes scores,
-    softmax and ``probs @ v`` only over the leading keys that the mask
-    leaves visible to some row of the block: a causal mask never has its
-    upper triangle computed, and the columns cut off are exactly those
-    whose probability would be 0. On arrays the softmax kernels run in
-    place on each block's scores, the matmul's own result, so a block
-    allocates no second score-sized array. With ``n <= _QUERY_BLOCK``
-    (every cached decode step) there is one block over all keys and the
-    mask is not read. ``meter`` still counts q @ k^T and probs @ v over the
-    full key range, as the benchmark's analytic FLOP counts
-    (``perfbench/costs.py``) do.
-    On ``autodiff.Tensor`` rows, weights and mask (training) it records the
-    tape, with tape softmax ops in place of the in-place kernels.
+    their exponentials and ``exp_scores @ v`` only over the leading keys
+    that the mask leaves visible to some row of the block: a causal mask
+    never has its upper triangle computed, and the columns cut off are
+    exactly those whose probability would be 0. Normalization is deferred:
+    q is scaled once per call, ``kernels.exp_rows`` exponentiates each
+    block's scores (the matmul's own result) in place and returns the row
+    sums, and the (rows, dh) context is divided by them, so no pass scales
+    or divides the scores and a block allocates no second score-sized array.
+    With ``n <= _QUERY_BLOCK`` (every cached decode step) there is one block
+    over all keys and the mask is not read. ``meter`` still counts the
+    full-square q @ k^T and probabilities @ v FLOPs, as the benchmark's
+    analytic counts (``perfbench/costs.py``) do. On ``autodiff.Tensor``
+    rows, weights and mask (training) it records the tape, with
+    ``autodiff.exp_rows_lastdim`` in place of the kernel.
     """
     tape = isinstance(x, ad.Tensor)
-    if tape:
-        softmax, masked_softmax = ad.softmax_lastdim, ad.masked_softmax_lastdim
-    else:  # looked up per call, so the benchmark's traced run can wrap them
-        def softmax(s):
-            return kernels.softmax_rows(s, out=s)
-
-        def masked_softmax(s, g):
-            return kernels.masked_softmax(s, g, out=s)
     concat = ad.concat if tape else np.concatenate
     d = x.shape[-1]
     dh = d // num_heads
     normed = _rms_norm(x, layer.attn_norm_gain)
     q = normed @ layer.w_q
+    q *= dh ** -0.5  # in place on arrays; a new tape node on Tensors
     k = normed @ layer.w_k
     v = normed @ layer.w_v
     keys, vals = k, v
@@ -428,13 +424,14 @@ def layer_forward(layer: LayerWeights, x: np.ndarray, mask, num_heads: int,
     blocks = []
     for rows, kmax, block_mask in _query_blocks(mask, n, n_keys):
         scores = q_h[..., rows, :] @ k_h[..., :kmax, :].swapaxes(-1, -2)
-        scores *= dh ** -0.5  # in place on arrays; a new tape node on Tensors
-        if block_mask is None:
-            probs = softmax(scores)
-        else:
-            probs = masked_softmax(scores, block_mask)
+        if tape:
+            scores, sums = ad.exp_rows_lastdim(scores, block_mask)
+        else:  # in place; looked up per call, so the benchmark's traced run can wrap it
+            sums = kernels.exp_rows(scores, block_mask)
+        ctx = scores @ v_h[..., :kmax, :]
+        ctx /= sums  # in place on arrays; a new tape node on Tensors
         x_rows = x[..., rows, :]
-        ctx = (probs @ v_h[..., :kmax, :]).swapaxes(-2, -3).reshape(x_rows.shape)
+        ctx = ctx.swapaxes(-2, -3).reshape(x_rows.shape)
         attn_out = x_rows + ctx @ layer.w_o
         normed2 = _rms_norm(attn_out, layer.ffn_norm_gain)
         blocks.append(attn_out + _silu(normed2 @ layer.ffn_in) @ layer.ffn_out)
@@ -445,7 +442,7 @@ def layer_forward(layer: LayerWeights, x: np.ndarray, mask, num_heads: int,
                       (rows, d, f), (rows, f, d)):
             meter.add_matmul(*shape)
         meter.add_matmul(num_heads * rows, dh, n_keys)  # q @ k^T
-        meter.add_matmul(num_heads * rows, n_keys, dh)  # probs @ v
+        meter.add_matmul(num_heads * rows, n_keys, dh)  # exp_scores @ v
     return out, k, v
 
 

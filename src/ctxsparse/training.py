@@ -61,6 +61,11 @@ class TrainConfig:
             raise ContractViolation("need 0 < tau_final <= tau_initial")
         if self.total_steps < 1:
             raise ContractViolation("total_steps must be >= 1")
+        if self.batch_size < 1:
+            raise ContractViolation("batch_size must be >= 1")
+        for name in ("lr_model", "lr_predictor"):
+            if not (np.isfinite(getattr(self, name)) and getattr(self, name) > 0.0):
+                raise ContractViolation(f"{name} must be finite and > 0")
         if self.optimizer not in ("adam", "sgd"):
             raise ContractViolation(f"unknown optimizer {self.optimizer!r}")
         if self.lambda_warmup_steps < 0:
@@ -313,11 +318,13 @@ def make_optimizer(model: Model, predictors: Predictors, cfg: TrainConfig):
 
 
 def _random_control_masks(rng, bsz, n_img, n_out, sparsity: SparsityConfig):
-    """Fresh exact-count random keep flags for the frozen-predictor control."""
+    """Fresh exact-count random keep flags for the frozen-predictor control:
+    ``max(1, floor(rate * n))`` of each non-empty segment, the count
+    ``select_topk_keep`` keeps at inference."""
     m_img = np.zeros((bsz, n_img))
     m_out = np.zeros((bsz, n_out))
-    k_img = int(np.floor(sparsity.image_keep_rate * n_img))
-    k_out = int(np.floor(sparsity.output_keep_rate * n_out))
+    k_img = min(n_img, max(1, int(np.floor(sparsity.image_keep_rate * n_img))))
+    k_out = min(n_out, max(1, int(np.floor(sparsity.output_keep_rate * n_out))))
     for b in range(bsz):
         if n_img:
             m_img[b, rng.choice(n_img, size=k_img, replace=False)] = 1.0
@@ -335,6 +342,7 @@ def training_step(model: Model, predictors: Predictors, batch: TrainBatch,
     gets fresh random keep flags at the configured rates; only the model
     trains. This is the baseline the learned masks are compared against.
     """
+    sparsity.validate(model.config.num_layers)
     tau = tau_at(step_index, train_cfg)
     bsz = batch.size
     n_img = batch.image_feats.shape[1]
@@ -386,8 +394,13 @@ def evaluate_policy_loss(model: Model, predictors: Predictors, samples,
     then fed one by one through cached sparse decoding, scoring every target
     against the logits produced before it is consumed. This is the same
     next-token loss the paper's static baselines are compared on, with the
-    active policy deciding which tokens survive.
+    active policy deciding which tokens survive. Every sample needs at
+    least one output token.
     """
+    samples = list(samples)
+    if not samples or any(len(sample.output_ids) == 0 for sample in samples):
+        raise ContractViolation(
+            "evaluate_policy_loss needs samples, each with an output token")
     total, count = 0.0, 0
     for sample in samples:
         state = embed_inputs(model, sample.image_feats, sample.text_ids)
@@ -403,4 +416,4 @@ def evaluate_policy_loss(model: Model, predictors: Predictors, samples,
                 logits, _ = sparse_decode_with_cache(
                     model, predictors, cache, admissions, vec,
                     state.n_prefill + t, sparsity)
-    return total / max(count, 1)
+    return total / count

@@ -247,3 +247,34 @@ def test_tensor_rms_norm_and_mean_equal_arrays_at_any_width():
         assert same_bits((t / 3.0).data, x / 3.0)
         t.mean().backward()
         assert same_bits(t.grad, np.ones_like(x) / x.size)
+
+
+def test_exp_rows_twin_matches_kernel_and_gradchecks_scores_and_mask():
+    from ctxsparse import kernels
+    rng = np.random.default_rng(19)
+    x = rng.normal(scale=3.0, size=(2, 3, 5, 6))
+    g = (rng.random((2, 1, 5, 6)) < 0.5).astype(np.float64)
+    g[..., 0] = 1.0
+    e, sums = ad.exp_rows_lastdim(ad.Tensor(x), ad.Tensor(g))
+    want = x.copy()
+    want_sums = kernels.exp_rows(want, g)
+    assert np.array_equal(e.data, want) and np.array_equal(sums.data, want_sums)
+    assert (e.data[np.broadcast_to(g, x.shape) == 0.0] == 0.0).all()
+    e, sums = ad.exp_rows_lastdim(ad.Tensor(x))
+    want = x.copy()
+    assert np.array_equal(sums.data, kernels.exp_rows(want)) and np.array_equal(e.data, want)
+
+    # the layer's deferred normalization: (exp_scores @ v) / row sums. A
+    # hidden entry above its row's live max has a capped adjoint, so column
+    # 0, always visible, holds each row's max and a probe of the mask never
+    # moves the shift.
+    x = rng.normal(size=x.shape)
+    x[..., 0] = x.max(axis=-1) + 0.1
+    v = rng.normal(size=(2, 3, 6, 4))
+    w = rng.normal(size=(2, 3, 5, 4))
+    xt, gt = ad.Tensor(x), ad.Tensor(g)
+
+    def attend(xt, gt):
+        e, sums = ad.exp_rows_lastdim(xt, gt)
+        return ((e @ ad.constant(v)) / sums * ad.constant(w)).sum()
+    ad.gradcheck(attend, [xt, gt], rng=rng, probes_per_input=20)

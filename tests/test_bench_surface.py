@@ -55,21 +55,23 @@ def test_no_cache_decode_returns_its_decisions():
 
 
 def test_softmax_kernels_are_called_through_the_module(monkeypatch):
-    """The traced run counts softmax work by wrapping ``kernels.*``; a layer
-    that inlined the softmax or bound the kernels at import would read 0."""
+    """The traced run counts attention work by wrapping ``kernels.*``; a
+    layer that inlined the in-place softmax kernel ``exp_rows`` or bound it
+    at import would read 0."""
     from ctxsparse import kernels
     from ctxsparse.predictors import image_decisions
 
-    calls = {"masked_softmax": 0, "softmax_rows": 0}
-    for name in calls:
-        def counting(*args, _name=name, _real=getattr(kernels, name), **kwargs):
-            calls[_name] += 1
-            return _real(*args, **kwargs)
-        monkeypatch.setattr(kernels, name, counting)
+    calls = {"exp_rows": 0}
+
+    def counting(*args, _real=kernels.exp_rows, **kwargs):
+        calls["exp_rows"] += 1
+        return _real(*args, **kwargs)
+
+    monkeypatch.setattr(kernels, "exp_rows", counting)
     prog = small_program()
     rng = np.random.default_rng(3)
     m.layer_forward(prog["model"].layers[0], rng.normal(size=(131, 32)),
                     m.causal_mask(131), CFG.num_heads)
-    assert calls == {"masked_softmax": 3, "softmax_rows": 0}  # one per 64-row block
+    assert calls == {"exp_rows": 3}  # one per 64-row block
     image_decisions(prog["predictors"], rng.normal(size=(70, 32)))
-    assert calls["softmax_rows"] == 2 * len(prog["predictors"].image_blocks)
+    assert calls["exp_rows"] == 3 + 2 * len(prog["predictors"].image_blocks)

@@ -275,3 +275,39 @@ def test_softmax_kernels_reject_an_unusable_out():
             kernels.softmax_rows(x, out=out)
         with pytest.raises(ContractViolation, match="out="):
             kernels.masked_softmax(x, np.ones((3, 4)), out=out)
+
+
+# -- exp_rows: the in-place kernel the softmaxes wrap -----------------------------
+
+
+def test_softmax_kernels_equal_exp_rows_then_divide_bit_for_bit():
+    rng = np.random.default_rng(17)
+    for scores, mask in out_cases(rng):
+        for g, softmax in ((None, kernels.softmax_rows(scores)),
+                           (mask, kernels.masked_softmax(scores, mask))):
+            e = scores.copy()
+            sums = kernels.exp_rows(e, g)
+            assert sums.shape == scores.shape[:-1] + (1,)
+            assert np.array_equal(softmax, e / sums)
+        hidden = e[np.broadcast_to(mask, e.shape) == 0]
+        assert hidden.size and (hidden == 0.0).all() and not np.signbit(hidden).any()
+
+
+def test_exp_rows_leaves_scores_unwritten_when_the_mask_is_rejected():
+    x = np.random.default_rng(18).normal(size=(2, 3, 4))
+    before = x.copy()
+    empty_row = np.ones((3, 4))
+    empty_row[1] = 0.0
+    for bad in (np.ones((3, 5)), np.ones((2, 1, 3, 4)), np.ones(()), empty_row):
+        with pytest.raises(ContractViolation):
+            kernels.exp_rows(x, bad)
+        assert np.array_equal(x, before)
+
+
+def test_exp_rows_rejects_scores_it_cannot_work_in_place():
+    read_only = np.zeros((3, 4))
+    read_only.flags.writeable = False
+    for x in ([[0.0] * 4] * 3, np.zeros((3, 4), dtype=np.float32),
+              np.zeros((4, 3)).T, np.zeros(4), read_only):
+        with pytest.raises(ContractViolation, match="in place"):
+            kernels.exp_rows(x)

@@ -1,10 +1,12 @@
 import numpy as np
+import pytest
 
 from ctxsparse import autodiff as ad
 from ctxsparse import model as m
 from ctxsparse import sparsify as sp
 from ctxsparse import tasks
 from ctxsparse import training as tr
+from ctxsparse.errors import ContractViolation
 from ctxsparse.predictors import PredictorConfig, image_decisions, make_predictors
 
 CFG = m.ModelConfig(num_layers=4, hidden_dim=64, num_heads=4, ffn_dim=128,
@@ -209,3 +211,50 @@ def test_evaluate_policy_loss_at_keep_all_is_the_dense_loss():
     sparse = tr.evaluate_policy_loss(model, preds, samples,
                                      sp.SparsityConfig(sparsify_layer=1))
     assert np.isfinite(sparse)
+
+
+def test_evaluate_policy_loss_rejects_a_sample_without_outputs():
+    task, model, preds, _ = keyed_lookup_setup()
+    samples = task.eval_samples(np.random.default_rng(54), 2)
+    samples[1] = tasks.Sample(samples[1].image_feats, samples[1].text_ids,
+                              samples[1].output_ids[:0])
+    with pytest.raises(ContractViolation, match="output token"):
+        tr.evaluate_policy_loss(model, preds, samples, sp.SparsityConfig(sparsify_layer=1))
+
+
+def test_random_control_keeps_one_token_of_each_non_empty_segment():
+    rates = sp.SparsityConfig(image_keep_rate=0.2, output_keep_rate=0.5)
+    rng = np.random.default_rng(55)
+    m_img, m_out = tr._random_control_masks(rng, 2, 4, 1, rates)
+    assert m_img.sum(axis=1).tolist() == [1.0, 1.0]
+    assert m_out.sum(axis=1).tolist() == [1.0, 1.0]
+    m_img, m_out = tr._random_control_masks(rng, 2, 12, 7, rates)  # floor(rate * n)
+    assert m_img.sum(axis=1).tolist() == [2.0, 2.0]
+    assert m_out.sum(axis=1).tolist() == [3.0, 3.0]
+    m_img, m_out = tr._random_control_masks(rng, 2, 0, 1, rates)
+    assert m_img.shape == (2, 0) and m_out.sum(axis=1).tolist() == [1.0, 1.0]
+
+
+@pytest.mark.parametrize("field, value", [
+    ("batch_size", 0), ("batch_size", -2),
+    ("lr_model", 0.0), ("lr_model", -1e-3), ("lr_model", float("nan")),
+    ("lr_model", float("inf")),
+    ("lr_predictor", 0.0), ("lr_predictor", -1e-3), ("lr_predictor", float("nan")),
+    ("lr_predictor", float("inf")),
+])
+def test_train_config_rejects_bad_batch_size_and_learning_rates(field, value):
+    with pytest.raises(ContractViolation, match=field):
+        tr.TrainConfig(**{field: value}).validate()
+
+
+@pytest.mark.parametrize("layer", [5, 2, -1])
+def test_training_step_rejects_a_sparsify_layer_outside_the_model(layer):
+    task, model, preds, train_cfg = keyed_lookup_setup()  # 2 layers
+    batch = task.training_batch(np.random.default_rng(56), train_cfg.batch_size)
+    optimizer = tr.make_optimizer(model, preds, train_cfg)
+    before = {name: arr.copy() for name, arr in tr._grouped_arrays(model, preds)}
+    with pytest.raises(ContractViolation, match="sparsify_layer"):
+        tr.training_step(model, preds, batch, train_cfg, sp.SparsityConfig(sparsify_layer=layer),
+                         0, optimizer, np.random.default_rng(57))
+    for name, arr in tr._grouped_arrays(model, preds):
+        assert np.array_equal(arr, before[name]), name
