@@ -20,7 +20,10 @@ token sets with no mask, and training over ``autodiff.Tensor`` rows with
 the masked-attention training mask. It runs in blocks of query rows and
 skips the key columns the mask hides from a whole block, such as the upper
 triangle of a causal mask. It normalizes late, dividing ``exp_scores @ v``
-by the row sums that ``kernels.exp_rows`` returns.
+by the row sums that ``kernels.exp_rows`` returns. Calls over more than one
+block of array rows (prefill and no-cache layers past 64 rows, the image
+predictor) bound every score by |q_i| max_j |k_j| and exponentiate a block
+whose bound stays within 64 without the row-max shift.
 
 Positions are always the ORIGINAL positions assigned at embedding time, so
 removing tokens later never renumbers the survivors.
@@ -49,6 +52,11 @@ CHECKPOINT_VERSION = 1
 # lengths of the softmax and probs @ v reductions, so the values would
 # move in their last bits.
 _QUERY_BLOCK = 64
+# Largest score bound at which layer_forward exponentiates a block without
+# the row-max shift: exp of a score in [-64, 64] is neither subnormal nor
+# near overflow (row sums stay below keys * e**64), so the unshifted form
+# is as precise as the shifted one and skips two passes over the scores.
+_UNSHIFTED_LIMIT = 64.0
 
 
 @dataclass
@@ -391,8 +399,17 @@ def layer_forward(layer: LayerWeights, x: np.ndarray, mask, num_heads: int,
     block's scores (the matmul's own result) in place and returns the row
     sums, and the (rows, dh) context is divided by them, so no pass scales
     or divides the scores and a block allocates no second score-sized array.
-    With ``n <= _QUERY_BLOCK`` (every cached decode step) there is one block
-    over all keys and the mask is not read. ``meter`` still counts the
+    With ``n > _QUERY_BLOCK`` array rows, the call bounds each head's scores
+    by Cauchy-Schwarz, |q_i . k_j| <= |q_i| max_j |k_j| (q after its scale,
+    k over every key, cached ones included), and a block whose bound is at
+    most ``_UNSHIFTED_LIMIT`` (64) is exponentiated without the row-max
+    shift, saving two passes over its scores; the limit keeps every
+    exponential normal and far from overflow, so the values match the
+    shifted form to the last bits. A block over the limit, or with a NaN or
+    inf bound, takes the shifted path. With ``n <= _QUERY_BLOCK`` (every
+    cached decode step) there is one block over all keys, the mask is not
+    read and the shift is always taken, as it is on the tape, so those calls
+    are unchanged bit for bit. ``meter`` still counts the
     full-square q @ k^T and probabilities @ v FLOPs, as the benchmark's
     analytic counts (``perfbench/costs.py``) do. On ``autodiff.Tensor``
     rows, weights and mask (training) it records the tape, with
@@ -421,13 +438,19 @@ def layer_forward(layer: LayerWeights, x: np.ndarray, mask, num_heads: int,
 
     q_h, k_h, v_h = heads(q), heads(keys), heads(vals)
     n, n_keys = x.shape[-2], keys.shape[-2]
+    bound = None
+    if not tape and n > _QUERY_BLOCK:  # |q_i . k_j| <= |q_i| max_j |k_j|, per head
+        bound = (np.linalg.norm(q_h, axis=-1)
+                 * np.linalg.norm(k_h, axis=-1).max(axis=-1, keepdims=True))
     blocks = []
     for rows, kmax, block_mask in _query_blocks(mask, n, n_keys):
         scores = q_h[..., rows, :] @ k_h[..., :kmax, :].swapaxes(-1, -2)
         if tape:
             scores, sums = ad.exp_rows_lastdim(scores, block_mask)
         else:  # in place; looked up per call, so the benchmark's traced run can wrap it
-            sums = kernels.exp_rows(scores, block_mask)
+            # a NaN or inf bound fails the test and keeps the shift
+            shift = bound is None or not bound[..., rows].max() <= _UNSHIFTED_LIMIT
+            sums = kernels.exp_rows(scores, block_mask, shift=shift)
         ctx = scores @ v_h[..., :kmax, :]
         ctx /= sums  # in place on arrays; a new tape node on Tensors
         x_rows = x[..., rows, :]
@@ -515,9 +538,9 @@ def embed_inputs(model: Model, image_features, text_ids) -> SequenceState:
 
 
 def embed_output_token(model: Model, token_id: int, position: int) -> np.ndarray:
-    """Embedding of one generated token, an integer or integral value, at
-    its original position."""
-    if not isinstance(token_id, (int, np.integer)):
+    """Embedding of one generated token, an integer or integral value (not
+    a bool), at its original position."""
+    if isinstance(token_id, bool) or not isinstance(token_id, (int, np.integer)):
         token_id = _token_ids([token_id], model.config.vocab_size)[0]
     if not 0 <= token_id < model.config.vocab_size:
         raise ContractViolation(f"token id {token_id} out of vocabulary range")

@@ -100,6 +100,43 @@ class TrainBatch:
     def size(self):
         return self.text_ids.shape[0]
 
+    def validate(self, config):
+        """Check the batch against a ``ModelConfig``: one batch size B >= 1
+        over the three arrays, finite features of width
+        ``image_feature_dim`` (unless there are no image tokens), integer
+        ids inside the vocabulary, at least one output token and no more
+        than ``max_seq_len`` tokens per sequence."""
+        feats = np.asarray(self.image_feats)
+        text, out = np.asarray(self.text_ids), np.asarray(self.output_ids)
+        if feats.ndim != 3 or text.ndim != 2 or out.ndim != 2:
+            raise ContractViolation(
+                f"TrainBatch shapes image_feats {feats.shape}, text_ids {text.shape}, "
+                f"output_ids {out.shape} are not (B, n, d), (B, n), (B, n)")
+        if not feats.shape[0] == text.shape[0] == out.shape[0] >= 1:
+            raise ContractViolation(
+                f"TrainBatch arrays disagree on the batch size: image_feats "
+                f"{feats.shape}, text_ids {text.shape}, output_ids {out.shape}")
+        if feats.shape[1] and feats.shape[2] != config.image_feature_dim:
+            raise ContractViolation(
+                f"TrainBatch image features of width {feats.shape[2]} are not "
+                f"image_feature_dim {config.image_feature_dim}")
+        if feats.dtype.kind not in "fiu" or not np.isfinite(feats).all():
+            raise ContractViolation("TrainBatch image features are not finite")
+        for name, ids in (("text_ids", text), ("output_ids", out)):
+            if not np.issubdtype(ids.dtype, np.integer):
+                raise ContractViolation(
+                    f"TrainBatch {name} of dtype {ids.dtype} are not integers")
+            if ids.size and (ids.min() < 0 or ids.max() >= config.vocab_size):
+                raise ContractViolation(
+                    f"TrainBatch {name} out of vocabulary range [0, {config.vocab_size})")
+        if out.shape[1] < 1:
+            raise ContractViolation("TrainBatch has no output tokens to train on")
+        if feats.shape[1] + text.shape[1] + out.shape[1] > config.max_seq_len:
+            raise ContractViolation(
+                f"TrainBatch sequence length {feats.shape[1] + text.shape[1] + out.shape[1]} "
+                f"exceeds max_seq_len {config.max_seq_len}")
+        return self
+
 
 def tau_at(step: int, cfg: TrainConfig) -> float:
     """Exponentially decayed temperature: tau(0)=tau_initial and
@@ -343,6 +380,7 @@ def training_step(model: Model, predictors: Predictors, batch: TrainBatch,
     trains. This is the baseline the learned masks are compared against.
     """
     sparsity.validate(model.config.num_layers)
+    batch.validate(model.config)
     tau = tau_at(step_index, train_cfg)
     bsz = batch.size
     n_img = batch.image_feats.shape[1]

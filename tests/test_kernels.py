@@ -5,6 +5,7 @@ import pytest
 
 from ctxsparse import kernels
 from ctxsparse.errors import ContractViolation
+from ctxsparse.model import _UNSHIFTED_LIMIT
 
 
 def test_softmax_symmetry():
@@ -311,3 +312,42 @@ def test_exp_rows_rejects_scores_it_cannot_work_in_place():
               np.zeros((4, 3)).T, np.zeros(4), read_only):
         with pytest.raises(ContractViolation, match="in place"):
             kernels.exp_rows(x)
+
+
+def test_exp_rows_without_the_shift_matches_the_softmaxes():
+    rng = np.random.default_rng(19)
+    for scores, mask in caller_masks(rng):
+        assert np.abs(scores).max() <= _UNSHIFTED_LIMIT
+        for g, softmax in ((None, kernels.softmax_rows(scores)),
+                           (mask, kernels.masked_softmax(scores, mask))):
+            e = scores.copy()
+            sums = kernels.exp_rows(e, g, shift=False)
+            assert np.abs(e / sums - softmax).max() <= 1e-15
+        hidden = e[np.broadcast_to(mask, e.shape) == 0]
+        assert hidden.size and (hidden == 0.0).all() and not np.signbit(hidden).any()
+
+
+def test_exp_rows_without_the_shift_leaves_scores_unwritten_on_a_rejected_mask():
+    x = np.random.default_rng(20).normal(size=(2, 3, 4))
+    before = x.copy()
+    empty_row = np.ones((3, 4))
+    empty_row[1] = 0.0
+    for bad, message in ((np.ones((3, 5)), "broadcast"), (np.ones((2, 1, 3, 4)), "broadcast"),
+                         (np.ones(()), "broadcast"), (empty_row, "all zeros")):
+        with pytest.raises(ContractViolation, match=message):
+            kernels.exp_rows(x, bad, shift=False)
+        assert np.array_equal(x, before)
+
+
+def test_masked_softmax_checks_its_mask_once(monkeypatch):
+    checks = []
+
+    def counting(x, g, _real=kernels._hidden):
+        checks.append(g)
+        return _real(x, g)
+
+    monkeypatch.setattr(kernels, "_hidden", counting)
+    scores, mask = caller_masks(np.random.default_rng(21))[1]
+    kernels.masked_softmax(scores, mask)
+    kernels.masked_softmax(scores, mask, out=scores.copy())
+    assert len(checks) == 2

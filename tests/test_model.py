@@ -274,6 +274,78 @@ def test_layer_forward_in_place_softmax_aliases_nothing():
     assert np.array_equal(x2, x2_before)
 
 
+def recording_exp_rows(monkeypatch):
+    """Replace ``kernels.exp_rows`` with a pass-through that records the
+    ``shift`` of every call in the returned list."""
+    from ctxsparse import kernels
+    shifts = []
+
+    def recorder(x, g=None, *, shift=True, _real=kernels.exp_rows):
+        shifts.append(shift)
+        return _real(x, g, shift=shift)
+
+    monkeypatch.setattr(kernels, "exp_rows", recorder)
+    return shifts
+
+
+def test_unshifted_blocks_match_unblocked_reference(monkeypatch):
+    shifts = recording_exp_rows(monkeypatch)
+    rng = np.random.default_rng(34)
+    block = make_predictors(PredictorConfig(input_dim=64), seed=35).image_blocks[0]
+    assert block.w_q.shape == (8, 8)  # the image predictor's shape, 4 heads
+    x = rng.normal(size=(576, 8))
+    out, _, _ = m.layer_forward(block, x, None, 4)
+    assert shifts == [False] * 9
+    assert np.abs(out - reference_layer(block, x, None, 4)).max() <= 1e-12
+    shifts.clear()
+    layer = toy_model(12).layers[0]
+    x = rng.normal(size=(131, 64))
+    out, _, _ = m.layer_forward(layer, x, m.causal_mask(131), 4)
+    assert shifts == [False] * 3
+    assert np.abs(out - reference_layer(layer, x, m.causal_mask(131), 4)).max() <= 1e-12
+
+
+def test_blocks_past_the_unshifted_limit_keep_the_shift(monkeypatch):
+    from dataclasses import replace
+    shifts = recording_exp_rows(monkeypatch)
+    base = toy_model(13).layers[0]
+    layer = replace(base, w_q=base.w_q * 12.0, w_k=base.w_k * 12.0)
+    x = np.random.default_rng(36).normal(size=(131, 64))
+    q = m._rms_norm(x, layer.attn_norm_gain) @ layer.w_q
+    k = m._rms_norm(x, layer.attn_norm_gain) @ layer.w_k
+    top = max(np.abs(q[:, h:h + 16] @ k[:, h:h + 16].T).max() / 4.0 for h in range(0, 64, 16))
+    assert top > np.log(np.finfo(np.float64).max)  # an unshifted exp would overflow
+    for mask in (None, m.causal_mask(131)):
+        shifts.clear()
+        out, _, _ = m.layer_forward(layer, x, mask, 4)
+        assert shifts == [True] * 3
+        assert np.isfinite(out).all()
+        assert np.abs(out - reference_layer(layer, x, mask, 4)).max() <= 1e-12
+
+
+def test_a_nan_score_bound_takes_the_shifted_call(monkeypatch):
+    shifts = recording_exp_rows(monkeypatch)
+    layer = toy_model(15).layers[0]
+    x = np.random.default_rng(37).normal(size=(131, 64))
+    clean, _, _ = m.layer_forward(layer, x, m.causal_mask(131), 4)
+    assert shifts == [False] * 3
+    shifts.clear()
+    x[100] = np.nan  # a NaN k row makes every row's bound NaN
+    out, _, _ = m.layer_forward(layer, x, m.causal_mask(131), 4)
+    assert shifts == [True] * 3
+    # the first block sees no key past row 63, so the NaN cannot reach it
+    assert np.abs(out[:64] - clean[:64]).max() <= 1e-12
+
+
+def test_embed_output_token_rejects_bool_token_id():
+    model = toy_model()
+    for flag in (True, False, np.bool_(True)):
+        with pytest.raises(ContractViolation, match="token ids"):
+            m.embed_output_token(model, flag, 3)  # True once selected the whole table
+        with pytest.raises(ContractViolation, match="token ids"):
+            m.append_output(model, toy_state(model), flag)
+
+
 def test_prefill_populates_cache_and_normalizes():
     model = toy_model()
     state = toy_state(model)

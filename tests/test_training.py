@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -258,3 +260,57 @@ def test_training_step_rejects_a_sparsify_layer_outside_the_model(layer):
                          0, optimizer, np.random.default_rng(57))
     for name, arr in tr._grouped_arrays(model, preds):
         assert np.array_equal(arr, before[name]), name
+
+
+def with_first_output(batch, token):
+    out = batch.output_ids.copy()
+    out[0, 0] = token
+    return replace(batch, output_ids=out)
+
+
+def with_nan_feature(batch):
+    feats = batch.image_feats.copy()
+    feats[1, 3, 0] = np.nan
+    return replace(batch, image_feats=feats)
+
+
+# (case, fault applied to a valid batch and the model config, message)
+FAULTY_BATCHES = [
+    ("negative-output-id", lambda b, cfg: with_first_output(b, -1), "output_ids"),
+    ("output-id-at-vocab-size", lambda b, cfg: with_first_output(b, cfg.vocab_size),
+     "output_ids"),
+    ("text-id-past-vocab", lambda b, cfg: replace(b, text_ids=b.text_ids + cfg.vocab_size),
+     "text_ids"),
+    ("float-ids", lambda b, cfg: replace(b, output_ids=b.output_ids.astype(np.float64)),
+     "output_ids"),
+    ("bool-ids", lambda b, cfg: replace(b, text_ids=b.text_ids > 0), "text_ids"),
+    ("batch-sizes-differ", lambda b, cfg: replace(b, output_ids=b.output_ids[:1]),
+     "batch size"),
+    ("nan-features", lambda b, cfg: with_nan_feature(b), "finite"),
+    ("feature-width", lambda b, cfg: replace(b, image_feats=b.image_feats[..., :-1]),
+     "image_feature_dim"),
+    ("no-outputs", lambda b, cfg: replace(b, output_ids=b.output_ids[:, :0]), "no output"),
+    ("longer-than-max-seq-len", lambda b, cfg: replace(
+        b, text_ids=np.ones((b.size, cfg.max_seq_len), dtype=np.int64)), "max_seq_len"),
+]
+
+
+@pytest.mark.parametrize("case", FAULTY_BATCHES, ids=lambda case: case[0])
+def test_training_step_rejects_a_faulty_batch_before_any_weight_moves(case):
+    _, fault, message = case
+    task, model, preds, train_cfg = keyed_lookup_setup()
+    batch = fault(task.training_batch(np.random.default_rng(58), train_cfg.batch_size),
+                  model.config)
+    optimizer = tr.make_optimizer(model, preds, train_cfg)
+    before = {name: arr.copy() for name, arr in tr._grouped_arrays(model, preds)}
+    with np.errstate(all="ignore"), pytest.raises(ContractViolation, match=message):
+        tr.training_step(model, preds, batch, train_cfg, sp.SparsityConfig(sparsify_layer=1),
+                         0, optimizer, np.random.default_rng(59))
+    for name, arr in tr._grouped_arrays(model, preds):
+        assert np.array_equal(arr, before[name]), name
+
+
+def test_train_batch_contract_accepts_the_task_batches():
+    task, model, _, train_cfg = keyed_lookup_setup()
+    batch = task.training_batch(np.random.default_rng(60), train_cfg.batch_size)
+    assert batch.validate(model.config) is batch
