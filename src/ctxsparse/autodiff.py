@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import kernels
 from .errors import ContractViolation
 
 
@@ -275,18 +276,16 @@ def rms_norm(x, gain, eps: float = 1e-6):
 def exp_rows_lastdim(x: Tensor, mask=None):
     """Tape twin of ``kernels.exp_rows``: ``(e, e.sum(-1, keepdims=True))``,
     with ``e / sums`` the softmax, differentiable in the scores and the mask
-    (a Tensor or array broadcasting to ``x``; None hides nothing). The shift,
-    a constant, is the row max over unmasked entries; only masked entries
-    lie above it, and their exp is capped at 1 so they stay finite.
+    (a Tensor or array that ``kernels._hidden`` checks against ``x``; None
+    hides nothing). The shift, a constant, is the row max over unmasked
+    entries; only masked entries lie above it, and their exp is capped at 1.
     """
     if mask is None:
         live_max = x.data.max(axis=-1, keepdims=True)
     else:
         mask = _wrap(mask)
-        keep = mask.data != 0.0
-        if not keep.any(axis=-1).all():
-            raise ContractViolation("masked_softmax: a mask row is all zeros")
-        live_max = np.where(keep, x.data, -np.inf).max(axis=-1, keepdims=True)
+        hidden = kernels._hidden(x.data, mask.data)
+        live_max = np.where(hidden, -np.inf, x.data).max(axis=-1, keepdims=True)
     z = x.data - live_max
     e_data = np.exp(np.minimum(z, 0.0))
     e = Tensor(e_data, ((x, lambda g, o=e_data, live=z <= 0.0: g * o * live),))

@@ -490,6 +490,24 @@ def _logits_at(model: Model, hidden_row: np.ndarray) -> np.ndarray:
     return _rms_norm(hidden_row, model.final_norm_gain) @ model.lm_head
 
 
+def _is_int(value) -> bool:
+    """Whether ``value`` is a Python or numpy integer, and not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    """Whether ``value`` is a Python or numpy integer or float, and not a bool."""
+    return isinstance(value, (int, float, np.integer, np.floating)) \
+        and not isinstance(value, bool)
+
+
+def _check_position(model: Model, position):
+    """Raise unless ``position`` is an integer in [0, max_seq_len)."""
+    if not (_is_int(position) and 0 <= position < model.config.max_seq_len):
+        raise ContractViolation(f"position {position!r} is not an integer in "
+                                f"[0, max_seq_len {model.config.max_seq_len})")
+
+
 def _token_ids(ids, vocab_size: int) -> np.ndarray:
     """``ids`` as a 1-D int64 array. They must be 1-D, of an integer dtype
     or with integral values, and lie in [0, vocab_size)."""
@@ -538,15 +556,13 @@ def embed_inputs(model: Model, image_features, text_ids) -> SequenceState:
 
 
 def embed_output_token(model: Model, token_id: int, position: int) -> np.ndarray:
-    """Embedding of one generated token, an integer or integral value (not
-    a bool), at its original position."""
-    if isinstance(token_id, bool) or not isinstance(token_id, (int, np.integer)):
+    """Embedding of one generated token at its original position. The id is
+    an integer or integral value, the position an integer, neither a bool."""
+    if not _is_int(token_id):
         token_id = _token_ids([token_id], model.config.vocab_size)[0]
     if not 0 <= token_id < model.config.vocab_size:
         raise ContractViolation(f"token id {token_id} out of vocabulary range")
-    if not 0 <= position < model.config.max_seq_len:
-        raise ContractViolation(
-            f"position {position} outside [0, max_seq_len {model.config.max_seq_len})")
+    _check_position(model, position)
     return model.token_emb[token_id] + model.pos_emb[position]
 
 

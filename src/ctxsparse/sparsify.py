@@ -20,9 +20,11 @@ state reuses them: the image predictor runs once per generation and the
 output predictor once per output token. The record is reused only while
 the model and predictors are the same objects, the sparsity config is
 equal, the prompt arrays are the same and the decided output rows are
-unchanged; otherwise the forward decides afresh. Under the causal mask a
-token's layer-l feature does not depend on later tokens, so the reused
-decisions are those a fresh forward makes.
+unchanged; otherwise the forward decides afresh. The record is what keeps
+each decision fixed: under the causal mask a token's layer-l feature does
+not depend on later tokens, but it can move in its last bits when later
+rows join its partial 64-row query block, so a fresh forward over a longer
+sequence may score a token ever so slightly differently.
 
 One forward per sequence: prefill and no-cache decoding, dense or sparse,
 run ``_sparse_forward``, one layer loop over one sequence's rows that
@@ -53,6 +55,9 @@ from .model import (
     KVCacheStore,
     Model,
     SequenceState,
+    _check_position,
+    _is_int,
+    _is_real,
     _logits_at,
     append_output,
     attend_cached,
@@ -85,20 +90,36 @@ class SparsityConfig:
     policy_seed: int = 0
 
     def validate(self, num_layers: int):
-        if not 0 <= self.sparsify_layer < num_layers:
+        if not (_is_int(self.sparsify_layer) and 0 <= self.sparsify_layer < num_layers):
             raise ContractViolation(
-                f"sparsify_layer must be in [0, {num_layers - 1}], "
-                f"got {self.sparsify_layer}"
+                f"sparsify_layer must be an integer in [0, {num_layers - 1}], "
+                f"got {self.sparsify_layer!r}"
             )
-        if not 0.0 < self.image_keep_rate <= 1.0:
-            raise ContractViolation("image_keep_rate must be in (0, 1]")
-        if not 0.0 < self.output_keep_rate <= 1.0:
-            raise ContractViolation("output_keep_rate must be in (0, 1]")
+        for name in ("image_keep_rate", "output_keep_rate"):
+            rate = getattr(self, name)
+            if not (_is_real(rate) and 0.0 < rate <= 1.0):
+                raise ContractViolation(f"{name} must be a real number in (0, 1]")
         if self.selection_mode not in SELECTION_MODES:
             raise ContractViolation(f"unknown selection_mode {self.selection_mode!r}")
         if self.policy not in POLICIES:
             raise ContractViolation(f"unknown policy {self.policy!r}")
+        if not (_is_int(self.policy_seed) and self.policy_seed >= 0):
+            raise ContractViolation(f"policy_seed must be an integer >= 0, "
+                                    f"got {self.policy_seed!r}")
         return self
+
+
+def _validate(model: Model, predictors: Predictors, cfg: SparsityConfig):
+    """``cfg.validate`` for ``model``, and, when ``cfg`` consults the
+    predictors (the learned policy with a keep rate below 1), a check that
+    there are predictors and that they read rows of the model's width."""
+    cfg.validate(model.config.num_layers)
+    d = model.config.hidden_dim
+    rate = min(cfg.image_keep_rate, cfg.output_keep_rate)
+    consults = cfg.policy == "learned" and rate < 1.0
+    if consults and (predictors is None or predictors.config.input_dim != d):
+        raise ContractViolation(
+            f"a learned policy below keep rate 1 needs predictors of input_dim {d}")
 
 
 @dataclass(frozen=True)
@@ -314,6 +335,18 @@ def _sparse_forward(model: Model, predictors: Predictors, state: SequenceState,
     return x, keep, flags
 
 
+def _prefill(model: Model, predictors: Predictors, state: SequenceState,
+             cfg: SparsityConfig, cache=None, meter=None):
+    """Checked prefill of one sequence: its last-position logits and kept
+    image indices, with every layer's K/V written into ``cache`` if given."""
+    _validate(model, predictors, cfg)
+    if state.n_prefill == 0:
+        raise ContractViolation("sparse_prefill: empty state")
+    x, keep, _ = _sparse_forward(model, predictors, state, cfg, False,
+                                 cache=cache, meter=meter)
+    return _logits_at(model, x[-1]), keep
+
+
 def sparse_prefill(model: Model, predictors: Predictors, state: SequenceState,
                    cfg: SparsityConfig, meter=None):
     """Prefill with image-token reduction after layer l.
@@ -321,13 +354,9 @@ def sparse_prefill(model: Model, predictors: Predictors, state: SequenceState,
     Returns (last-position logits, cache, kept image indices). The cache
     holds every prompt token for layers <= l and only survivors beyond.
     """
-    cfg.validate(model.config.num_layers)
-    if state.n_prefill == 0:
-        raise ContractViolation("sparse_prefill: empty state")
     cache = KVCacheStore(model.config.num_layers)
-    x, keep, _ = _sparse_forward(model, predictors, state, cfg, False,
-                                 cache=cache, meter=meter)
-    return _logits_at(model, x[-1]), cache, keep
+    logits, keep = _prefill(model, predictors, state, cfg, cache, meter)
+    return logits, cache, keep
 
 
 def sparse_decode_no_cache(model: Model, predictors: Predictors,
@@ -342,7 +371,7 @@ def sparse_decode_no_cache(model: Model, predictors: Predictors,
     its new output token. Returns the newest position's logits (plus the
     kept image indices and every output's flag on request).
     """
-    cfg.validate(model.config.num_layers)
+    _validate(model, predictors, cfg)
     if state.n_output < 1:
         raise ContractViolation("sparse_decode_no_cache: need >= 1 output token")
     x, keep, flags = _sparse_forward(model, predictors, state, cfg, True)
@@ -365,16 +394,23 @@ def sparse_decode_with_cache(model: Model, predictors: Predictors,
     is committed at every layer; a rejected one only at layers < l, and at
     the deeper layers it stays past the length, where the next step
     overwrites it. The decision is recorded once and shared by all deeper
-    layers. The step is atomic on a bad input: ``last_token`` must be one
-    (hidden_dim,) vector and ``position`` must lie past every layer's last
-    cached one, both checked before any layer runs, so either fault raises
-    ``ContractViolation`` with the cache unchanged. Returns (logits,
+    layers. The step is atomic on a bad input: the cache must have one
+    layer per model layer, ``last_token`` must be one finite (hidden_dim,)
+    vector and ``position`` an integer below max_seq_len past every layer's
+    last cached one, all checked before any layer runs, so each fault
+    raises ``ContractViolation`` with the cache unchanged. Returns (logits,
     admitted flag).
     """
-    cfg.validate(model.config.num_layers)
+    _validate(model, predictors, cfg)
+    if cache.num_layers != model.config.num_layers:
+        raise ContractViolation(f"cache of {cache.num_layers} layers for a "
+                                f"{model.config.num_layers}-layer model")
     if np.shape(last_token) != (model.config.hidden_dim,):
         raise ContractViolation(f"cached step token shape {np.shape(last_token)} "
                                 f"is not ({model.config.hidden_dim},)")
+    if not np.isfinite(last_token).all():
+        raise ContractViolation("cached step token is not finite")
+    _check_position(model, position)
     for li in range(model.config.num_layers):
         cache.check_position(li, position)
     split = cfg.sparsify_layer
@@ -406,13 +442,16 @@ def sparse_greedy_generate(model: Model, predictors: Predictors,
     """
     if mode not in ("no_cache", "with_cache"):
         raise ContractViolation(f"unknown mode {mode!r}")
-    if max_new_tokens < 0:
-        raise ContractViolation("max_new_tokens must be >= 0")
+    if not (_is_int(max_new_tokens) and max_new_tokens >= 0):
+        raise ContractViolation(f"max_new_tokens must be an integer >= 0, "
+                                f"got {max_new_tokens!r}")
     trace = GenerationTrace(mode=mode, n_image=state.n_image, n_text=state.n_text)
     work = state.copy()
     if max_new_tokens == 0:
         return trace
-    logits, cache, keep = sparse_prefill(model, predictors, work, cfg)
+    # no-cache steps re-run every row, so only the cached mode keeps K/V
+    cache = KVCacheStore(model.config.num_layers) if mode == "with_cache" else None
+    logits, keep = _prefill(model, predictors, work, cfg, cache)
     trace.image_keep = list(map(int, keep))
 
     def cached_step(token, position):
@@ -490,15 +529,8 @@ def batch_sparse_prefill(model: Model, predictors: Predictors,
     """Sparse prefill of each lane on its own, with no cache kept: the
     (B, vocab) last-position logits and the per-lane keep sets, exactly
     those of ``sparse_prefill`` on each lane alone."""
-    cfg.validate(model.config.num_layers)
-    logits, keep_sets = [], []
-    for st in batch.states:
-        if st.n_prefill == 0:
-            raise ContractViolation("batch_sparse_prefill: empty state")
-        x, keep, _ = _sparse_forward(model, predictors, st, cfg, False)
-        logits.append(_logits_at(model, x[-1]))
-        keep_sets.append(keep)
-    return np.stack(logits), keep_sets
+    logits, keep_sets = zip(*(_prefill(model, predictors, st, cfg) for st in batch.states))
+    return np.stack(logits), list(keep_sets)
 
 
 def batch_sparse_decode(model: Model, predictors: Predictors,
@@ -509,7 +541,7 @@ def batch_sparse_decode(model: Model, predictors: Predictors,
     its prompt then ``sparse_decode_with_cache`` over its outputs
     (``with_cache``). Lanes may hold different numbers of outputs, but each
     needs at least one."""
-    cfg.validate(model.config.num_layers)
+    _validate(model, predictors, cfg)
     if mode not in ("no_cache", "with_cache"):
         raise ContractViolation(f"unknown mode {mode!r}")
     if any(st.n_output < 1 for st in batch.states):

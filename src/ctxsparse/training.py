@@ -31,8 +31,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import ContractViolation
-from .model import (Model, _logits_at, causal_mask, embed_inputs, embed_output_token,
-                    layer_forward)
+from .model import (Model, _is_int, _is_real, _logits_at, causal_mask, embed_inputs,
+                    embed_output_token, layer_forward)
 from .predictors import Predictors, image_decisions, output_decisions
 from .sparsify import SparsityConfig, sparse_decode_with_cache, sparse_prefill
 
@@ -53,23 +53,24 @@ class TrainConfig:
     seed: int = 0
 
     def validate(self):
+        for name, low in (("total_steps", 1), ("batch_size", 1), ("min_output_len", 0),
+                          ("lambda_warmup_steps", 0)):
+            if not (_is_int(getattr(self, name)) and getattr(self, name) >= low):
+                raise ContractViolation(f"{name} must be an integer >= {low}")
+        for name in ("lambda_reg", "tau_initial", "tau_final", "momentum",
+                     "lr_model", "lr_predictor"):
+            value = getattr(self, name)
+            if not (_is_real(value) and np.isfinite(value)):
+                raise ContractViolation(f"{name} must be a finite real number")
         if self.lambda_reg < 0:
             raise ContractViolation("lambda_reg must be >= 0")
-        if self.min_output_len < 0:
-            raise ContractViolation("min_output_len must be >= 0")
         if not 0.0 < self.tau_final <= self.tau_initial:
             raise ContractViolation("need 0 < tau_final <= tau_initial")
-        if self.total_steps < 1:
-            raise ContractViolation("total_steps must be >= 1")
-        if self.batch_size < 1:
-            raise ContractViolation("batch_size must be >= 1")
         for name in ("lr_model", "lr_predictor"):
-            if not (np.isfinite(getattr(self, name)) and getattr(self, name) > 0.0):
-                raise ContractViolation(f"{name} must be finite and > 0")
+            if not getattr(self, name) > 0.0:
+                raise ContractViolation(f"{name} must be > 0")
         if self.optimizer not in ("adam", "sgd"):
             raise ContractViolation(f"unknown optimizer {self.optimizer!r}")
-        if self.lambda_warmup_steps < 0:
-            raise ContractViolation("lambda_warmup_steps must be >= 0")
         return self
 
     def lambda_at(self, step: int) -> float:
@@ -194,8 +195,10 @@ def training_forward(model: Model, predictors: Predictors, batch: TrainBatch,
     (B, n_output) keep flags, which is how the masked-vs-hard equivalence
     suite drives this path.
     ``hard_drop`` zeroes dropped token vectors instead of masking attention
-    (the documented breakage variant).
+    (the documented breakage variant). The batch is checked against the
+    model first.
     """
+    batch.validate(model.config)
     bsz = batch.size
     n_img = batch.image_feats.shape[1]
     n_txt = batch.text_ids.shape[1]
@@ -379,6 +382,7 @@ def training_step(model: Model, predictors: Predictors, batch: TrainBatch,
     gets fresh random keep flags at the configured rates; only the model
     trains. This is the baseline the learned masks are compared against.
     """
+    train_cfg.validate()
     sparsity.validate(model.config.num_layers)
     batch.validate(model.config)
     tau = tau_at(step_index, train_cfg)

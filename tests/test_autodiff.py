@@ -108,6 +108,17 @@ def test_masked_softmax_all_zero_row_rejected():
                                   ad.constant(np.zeros((1, 2))))
 
 
+def test_masked_softmax_rejects_a_mask_that_does_not_broadcast_to_the_scores():
+    """The tape checks a mask as the array kernel does: a (2, 1, 3, 4) mask
+    on (2, 3, 4) scores would broadcast the output up to 4-D."""
+    x = ad.Tensor(np.zeros((2, 3, 4)))
+    for bad in (np.ones((3, 5)), np.ones((2, 1, 3, 4)), np.ones((3, 3, 4)), np.ones(())):
+        with pytest.raises(ContractViolation, match="broadcast"):
+            ad.exp_rows_lastdim(x, ad.constant(bad))
+        with pytest.raises(ContractViolation, match="broadcast"):
+            ad.masked_softmax_lastdim(x, ad.constant(bad))
+
+
 def test_rms_norm_silu_grads():
     rng = np.random.default_rng(8)
     x, gain = leaf(rng, 3, 6), ad.Tensor(np.ones(6))

@@ -227,58 +227,15 @@ def test_softmax_kernels_equal_function_reduction_formula_bit_for_bit():
         assert np.array_equal(kernels.masked_softmax(x, keep), by_functions(x, keep))
 
 
-# -- results written into out= ---------------------------------------------------
+# -- exp_rows: the in-place kernel the softmaxes wrap -----------------------------
 
 
 def out_cases(rng):
-    """(scores, mask) pairs for ``out=``: 2-D scores under an (N, N) mask,
-    then every caller shape, 4-D ones under (B, 1, N, N) and (B, 1, 1, M)."""
+    """(scores, mask) pairs: 2-D scores under an (N, N) mask, then every
+    caller shape, 4-D ones under (B, 1, N, N) and (B, 1, 1, M)."""
     n = 6
     causal = np.tril(np.ones((n, n)))
     return [(rng.normal(scale=6.0, size=(n, n)), causal)] + caller_masks(rng)
-
-
-def test_softmax_kernels_out_equals_fresh_result_bit_for_bit():
-    rng = np.random.default_rng(15)
-    for scores, mask in out_cases(rng):
-        for kernel, args in ((kernels.softmax_rows, ()),
-                             (kernels.masked_softmax, (mask,))):
-            fresh = kernel(scores, *args)
-            out = np.full_like(scores, 7.0)
-            before = scores.copy()
-            assert kernel(scores, *args, out=out) is out
-            assert np.array_equal(out, fresh)
-            assert np.array_equal(scores, before)  # a separate out leaves x alone
-            inplace = scores.copy()
-            assert kernel(inplace, *args, out=inplace) is inplace
-            assert np.array_equal(inplace, fresh)
-
-
-def test_masked_softmax_out_unchanged_when_the_mask_is_rejected():
-    x = np.random.default_rng(16).normal(size=(2, 3, 4))
-    empty_row = np.ones((3, 4))
-    empty_row[1] = 0.0
-    for bad in (np.ones((3, 5)), np.ones((2, 1, 3, 4)), empty_row):
-        separate, inplace = np.full_like(x, 7.0), x.copy()
-        with pytest.raises(ContractViolation):
-            kernels.masked_softmax(x, bad, out=separate)
-        with pytest.raises(ContractViolation):
-            kernels.masked_softmax(inplace, bad, out=inplace)
-        assert (separate == 7.0).all()
-        assert np.array_equal(inplace, x)
-
-
-def test_softmax_kernels_reject_an_unusable_out():
-    x = np.zeros((3, 4))
-    for out in (np.zeros((4, 3)), np.zeros((3, 4), dtype=np.float32),
-                np.zeros((4, 3)).T, [[0.0] * 4] * 3):
-        with pytest.raises(ContractViolation, match="out="):
-            kernels.softmax_rows(x, out=out)
-        with pytest.raises(ContractViolation, match="out="):
-            kernels.masked_softmax(x, np.ones((3, 4)), out=out)
-
-
-# -- exp_rows: the in-place kernel the softmaxes wrap -----------------------------
 
 
 def test_softmax_kernels_equal_exp_rows_then_divide_bit_for_bit():
@@ -349,5 +306,5 @@ def test_masked_softmax_checks_its_mask_once(monkeypatch):
     monkeypatch.setattr(kernels, "_hidden", counting)
     scores, mask = caller_masks(np.random.default_rng(21))[1]
     kernels.masked_softmax(scores, mask)
-    kernels.masked_softmax(scores, mask, out=scores.copy())
+    kernels.masked_softmax(scores, mask)
     assert len(checks) == 2

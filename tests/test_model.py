@@ -409,6 +409,15 @@ def test_embed_output_token_rejects_negative_position():
         m.embed_output_token(model, 3, TOY.max_seq_len)
 
 
+def test_embed_output_token_rejects_a_position_that_is_not_an_integer():
+    model = toy_model()
+    for bad in (2.5, True, None, "2", np.float64(2.0)):
+        with pytest.raises(ContractViolation, match="position"):
+            m.embed_output_token(model, 3, bad)
+    assert np.array_equal(m.embed_output_token(model, 3, np.int64(2)),
+                          m.embed_output_token(model, 3, 2))
+
+
 def test_decode_no_cache_with_zero_outputs_equals_prefill():
     model = toy_model()
     state = toy_state(model)

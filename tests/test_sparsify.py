@@ -54,6 +54,26 @@ def test_sparsify_layer_range_includes_zero():
     assert scfg(sparsify_layer=0).validate(CFG.num_layers).sparsify_layer == 0
 
 
+@pytest.mark.parametrize("field, value", [
+    ("sparsify_layer", 1.5), ("sparsify_layer", "1"), ("sparsify_layer", True),
+    ("image_keep_rate", "0.5"), ("output_keep_rate", "0.5"), ("output_keep_rate", True),
+    ("policy_seed", -1), ("policy_seed", 1.5), ("policy_seed", "0"),
+])
+def test_sparsity_config_rejects_values_of_the_wrong_kind(field, value):
+    for policy in sp.POLICIES:
+        with pytest.raises(ContractViolation, match=field):
+            scfg(policy=policy, **{field: value}).validate(CFG.num_layers)
+    model, preds, state = setup(5)
+    with pytest.raises(ContractViolation, match=field):
+        sp.sparse_prefill(model, preds, state, scfg(policy="random", **{field: value}))
+
+
+def test_sparsity_config_accepts_numpy_scalars():
+    cfg = scfg(sparsify_layer=np.int64(1), image_keep_rate=np.float64(0.5),
+               output_keep_rate=np.float32(0.5), policy_seed=np.int32(3))
+    assert cfg.validate(CFG.num_layers) is cfg
+
+
 @pytest.mark.parametrize("policy", ["learned", "random", "structure"])
 def test_mode_equivalence_at_layer_zero(policy):
     admitted = set()
@@ -305,6 +325,83 @@ def test_cached_step_with_malformed_token_leaves_cache_unchanged():
     assert np.array_equal(got[0], ref[0]) and got[1] == ref[1]
     for li in range(4):
         assert_same_layer(layer_snapshot(cache, li), layer_snapshot(fresh, li))
+
+
+def assert_rejected_steps_leave_the_cache_unchanged(faults, match, seed=17):
+    """Each of ``faults`` maps (model, token vector, position) to the
+    arguments, by name, that it changes in one valid cached step (l = 1).
+    Each faulty step must raise ``ContractViolation`` matching ``match``
+    before any layer writes. After them all, the cache and the admissions
+    equal a clean cache's, and so does the next valid step."""
+    model, preds, state = setup(seed)
+    cfg = scfg(sparsify_layer=1)
+    _, cache, _ = sp.sparse_prefill(model, preds, state, cfg)
+    _, fresh, _ = sp.sparse_prefill(model, preds, state, cfg)
+    position = state.n_prefill
+    vec = m.embed_output_token(model, 5, position)
+    admissions = []
+    before = [layer_snapshot(cache, li) for li in range(4)]
+    for fault in faults:
+        args = dict(model=model, predictors=preds, cache=cache, admissions=admissions,
+                    last_token=vec, position=position, cfg=cfg)
+        args.update(fault(model, vec, position))
+        step_cache = args["cache"]
+        other = step_cache.lengths(), [list(p) for p in step_cache.positions]
+        with np.errstate(all="ignore"), pytest.raises(ContractViolation, match=match):
+            sp.sparse_decode_with_cache(**args)
+        assert admissions == []
+        assert (step_cache.lengths(), step_cache.positions) == other
+        for li in range(4):
+            assert_same_layer(layer_snapshot(cache, li), before[li])
+    got = sp.sparse_decode_with_cache(model, preds, cache, admissions, vec, position, cfg)
+    ref = sp.sparse_decode_with_cache(model, preds, fresh, [], vec, position, cfg)
+    assert np.array_equal(got[0], ref[0]) and got[1] == ref[1] and len(admissions) == 1
+    for li in range(4):
+        assert_same_layer(layer_snapshot(cache, li), layer_snapshot(fresh, li))
+
+
+def test_cached_step_with_a_non_integer_position_leaves_cache_unchanged():
+    assert_rejected_steps_leave_the_cache_unchanged([
+        lambda model, vec, pos: {"position": pos + 0.5},
+        lambda model, vec, pos: {"position": float(pos)},
+        lambda model, vec, pos: {"position": None},
+        lambda model, vec, pos: {"position": str(pos)},
+    ], match="position")
+
+
+def test_cached_step_at_or_past_max_seq_len_leaves_cache_unchanged():
+    assert_rejected_steps_leave_the_cache_unchanged([
+        lambda model, vec, pos: {"position": model.config.max_seq_len},
+        lambda model, vec, pos: {"position": 500},
+    ], match="max_seq_len")
+
+
+def test_cached_step_with_a_non_finite_token_leaves_cache_unchanged():
+    def poisoned(value):
+        def fault(model, vec, pos):
+            token = vec.copy()
+            token[3] = value
+            return {"last_token": token}
+        return fault
+    assert_rejected_steps_leave_the_cache_unchanged(
+        [poisoned(np.nan), poisoned(np.inf), poisoned(-np.inf)], match="finite")
+
+
+def test_cached_step_with_a_cache_of_another_layer_count_leaves_it_unchanged():
+    assert_rejected_steps_leave_the_cache_unchanged([
+        lambda model, vec, pos: {"cache": m.KVCacheStore(3)},
+        lambda model, vec, pos: {"cache": m.KVCacheStore(5)},
+    ], match="layers")
+
+
+def test_cached_step_without_usable_predictors_leaves_cache_unchanged():
+    """The learned policy consults the predictors at layer l = 1, after
+    layer 0 has run; the check comes before layer 0."""
+    narrow = make_predictors(PredictorConfig(input_dim=32), seed=19)
+    assert_rejected_steps_leave_the_cache_unchanged([
+        lambda model, vec, pos: {"predictors": None},
+        lambda model, vec, pos: {"predictors": narrow},
+    ], match="predictors")
 
 
 @pytest.mark.parametrize("policy", ["learned", "random", "structure"])
@@ -613,6 +710,45 @@ def test_generation_makes_one_step_per_fed_back_token(monkeypatch):
             assert len(steps) == n - 1
 
 
+def test_generation_rejects_a_max_new_tokens_that_is_not_an_integer():
+    model, preds, state = setup(23)
+    for bad in (2.5, None, "3", True):
+        for mode in ("no_cache", "with_cache"):
+            with pytest.raises(ContractViolation, match="max_new_tokens"):
+                sp.sparse_greedy_generate(model, preds, state, scfg(), bad, mode=mode)
+            with pytest.raises(ContractViolation, match="max_new_tokens"):
+                m.greedy_generate(model, state, bad, mode=mode)
+
+
+def test_entry_points_reject_a_learned_config_without_usable_predictors():
+    """The learned policy below keep rate 1 consults the predictors: every
+    entry point refuses to run without them, or with predictors of another
+    width, before any work. Other configs run without predictors."""
+    model, _, state = setup(24)
+    narrow = make_predictors(PredictorConfig(input_dim=32), seed=25)
+    with_output = state.copy()
+    m.append_output(model, with_output, 7)
+    batch = sp.PaddedBatch([with_output])
+    calls = [
+        lambda p, cfg: sp.sparse_prefill(model, p, state, cfg),
+        lambda p, cfg: sp.sparse_decode_no_cache(model, p, with_output, cfg),
+        lambda p, cfg: sp.batch_sparse_prefill(model, p, batch, cfg),
+        lambda p, cfg: sp.batch_sparse_decode(model, p, batch, cfg, mode="no_cache"),
+        lambda p, cfg: sp.batch_sparse_decode(model, p, batch, cfg, mode="with_cache"),
+        lambda p, cfg: sp.sparse_greedy_generate(model, p, state, cfg, 3, mode="no_cache"),
+        lambda p, cfg: sp.sparse_greedy_generate(model, p, state, cfg, 3, mode="with_cache"),
+    ]
+    for cfg in (scfg(), scfg(image_keep_rate=1.0), scfg(output_keep_rate=1.0)):
+        for call in calls:
+            for bad in (None, narrow):
+                with pytest.raises(ContractViolation, match="predictors"):
+                    call(bad, cfg)
+    for cfg in (scfg(policy="random"), scfg(policy="structure"),
+                scfg(image_keep_rate=1.0, output_keep_rate=1.0)):
+        for call in calls:
+            call(None, cfg)
+
+
 def test_sparse_greedy_generate_rejects_negative_max_new_tokens():
     model, preds, state = setup(23)
     for mode in ("no_cache", "with_cache"):
@@ -697,6 +833,18 @@ def test_batch_no_cache_decode_decides_each_token_once(monkeypatch):
         logits = sp.batch_sparse_decode(model, preds, batch, cfg, mode="no_cache")
     assert len(image_calls) == 4
     assert output_rows == [1] * (4 * 6)
+
+
+def test_no_cache_generation_builds_no_kv_cache(monkeypatch):
+    model, preds, state = setup(42)
+    built = []
+    store = sp.KVCacheStore
+    monkeypatch.setattr(sp, "KVCacheStore", lambda *a: built.append(a) or store(*a))
+    sp.sparse_greedy_generate(model, preds, state, scfg(), 4, mode="no_cache")
+    m.greedy_generate(model, state, 4, mode="no_cache")
+    assert built == []
+    sp.sparse_greedy_generate(model, preds, state, scfg(), 4, mode="with_cache")
+    assert len(built) == 1
 
 
 def test_no_cache_generation_decides_each_token_once(monkeypatch):

@@ -249,6 +249,31 @@ def test_train_config_rejects_bad_batch_size_and_learning_rates(field, value):
         tr.TrainConfig(**{field: value}).validate()
 
 
+@pytest.mark.parametrize("field, value", [
+    ("total_steps", 1.5), ("batch_size", 2.0), ("min_output_len", 0.5),
+    ("lambda_warmup_steps", 1.5), ("total_steps", True),
+    ("lambda_reg", float("nan")), ("lambda_reg", float("inf")),
+    ("momentum", float("nan")), ("momentum", float("inf")),
+    ("tau_initial", float("inf")), ("lambda_reg", "100"),
+])
+def test_training_rejects_a_train_config_of_the_wrong_kind_before_any_weight_moves(
+        field, value):
+    task, model, preds, train_cfg = keyed_lookup_setup()
+    train_cfg = replace(train_cfg, optimizer="sgd", **{field: value})
+    sparsity = sp.SparsityConfig(sparsify_layer=1)
+    batch = task.training_batch(np.random.default_rng(61), 2)
+    before = {name: arr.copy() for name, arr in tr._grouped_arrays(model, preds)}
+    with np.errstate(all="ignore"):
+        with pytest.raises(ContractViolation, match=field):
+            tr.run_training(model, preds, task, train_cfg, sparsity)
+        with pytest.raises(ContractViolation, match=field):
+            tr.training_step(model, preds, batch, train_cfg, sparsity, 0,
+                             tr.make_optimizer(model, preds, train_cfg),
+                             np.random.default_rng(62))
+    for name, arr in tr._grouped_arrays(model, preds):
+        assert np.array_equal(arr, before[name]), name
+
+
 @pytest.mark.parametrize("layer", [5, 2, -1])
 def test_training_step_rejects_a_sparsify_layer_outside_the_model(layer):
     task, model, preds, train_cfg = keyed_lookup_setup()  # 2 layers
@@ -306,6 +331,19 @@ def test_training_step_rejects_a_faulty_batch_before_any_weight_moves(case):
     with np.errstate(all="ignore"), pytest.raises(ContractViolation, match=message):
         tr.training_step(model, preds, batch, train_cfg, sp.SparsityConfig(sparsify_layer=1),
                          0, optimizer, np.random.default_rng(59))
+    for name, arr in tr._grouped_arrays(model, preds):
+        assert np.array_equal(arr, before[name]), name
+
+
+def test_training_forward_checks_the_batch_itself():
+    task, model, preds, train_cfg = keyed_lookup_setup()
+    batch = task.training_batch(np.random.default_rng(63), train_cfg.batch_size)
+    before = {name: arr.copy() for name, arr in tr._grouped_arrays(model, preds)}
+    _, tape_model, tape_preds = tr._tape_copies(model, preds)
+    for bad in (with_first_output(batch, model.config.vocab_size), with_nan_feature(batch)):
+        with pytest.raises(ContractViolation, match="TrainBatch"):
+            tr.training_forward(tape_model, tape_preds, bad, sp.SparsityConfig(sparsify_layer=1),
+                                train_cfg, tau=1.0)
     for name, arr in tr._grouped_arrays(model, preds):
         assert np.array_equal(arr, before[name]), name
 
