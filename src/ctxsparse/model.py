@@ -72,8 +72,10 @@ class ModelConfig:
     def validate(self):
         for name in ("num_layers", "hidden_dim", "num_heads", "ffn_dim",
                      "vocab_size", "max_seq_len", "image_feature_dim"):
-            if getattr(self, name) < 1:
-                raise ContractViolation(f"ModelConfig.{name} must be >= 1")
+            value = getattr(self, name)
+            if not (_is_int(value) and value >= 1):
+                raise ContractViolation(f"ModelConfig.{name} must be an integer >= 1, "
+                                        f"got {value!r}")
         if self.hidden_dim % self.num_heads != 0:
             raise ContractViolation("hidden_dim must be divisible by num_heads")
         return self

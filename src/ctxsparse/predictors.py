@@ -20,7 +20,7 @@ import numpy as np
 from . import kernels
 from .autodiff import silu
 from .errors import ContractViolation
-from .model import LayerWeights, layer_forward
+from .model import LayerWeights, _is_int, _is_real, layer_forward
 
 
 @dataclass
@@ -31,6 +31,14 @@ class PredictorConfig:
     keep_bias_init: float = 2.0  # start near keep-everything; training prunes
 
     def __post_init__(self):
+        for name, low in (("input_dim", 1), ("hidden", 0), ("num_heads", 1)):
+            value = getattr(self, name)
+            if not (_is_int(value) and value >= low):
+                raise ContractViolation(f"PredictorConfig.{name} must be an integer "
+                                        f">= {low}, got {value!r}")
+        if not (_is_real(self.keep_bias_init) and np.isfinite(self.keep_bias_init)):
+            raise ContractViolation(f"PredictorConfig.keep_bias_init must be a finite "
+                                    f"real number, got {self.keep_bias_init!r}")
         if self.hidden == 0:
             self.hidden = max(self.input_dim // 8, self.num_heads)
         if self.hidden % self.num_heads != 0:

@@ -28,14 +28,18 @@ sequence may score a token ever so slightly differently.
 
 One forward per sequence: prefill and no-cache decoding, dense or sparse,
 run ``_sparse_forward``, one layer loop over one sequence's rows that
-decides at layer l and carries only the survivors on. A batch runs its
-lanes one after another through the single-sequence calls, so each lane's
-values are exactly its own; on one numpy thread, lanes of mixed length
-also run sooner this way than left-padded in lockstep. Cached decoding runs
-one new row per step through ``attend_cached``: at each layer the row's K/V
-are written once, in place, into the free row of a ``KVCacheStore.slot``,
-the row attends over the slot's views, and admission is whether
-``commit`` then advances that layer's length. No step copies the cache.
+decides at layer l and carries only the survivors on. ``_forward`` is the
+checked call of it that this module's prefill, no-cache and generation
+entry points share. ``_cached_logits`` is the one teacher-forced loop over
+a cache: prefill, then each output row fed as one cached step. A batch
+runs its lanes one after another through the single-sequence calls, so
+each lane's values are exactly its own; on one numpy thread, lanes of
+mixed length also run sooner this way than left-padded in lockstep.
+Cached decoding runs one new row per step through ``attend_cached``: at
+each layer the row's K/V are written once, in place, into the free row of
+a ``KVCacheStore.slot``, the row attends over the slot's views, and
+admission is whether ``commit`` then advances that layer's length. No step
+copies the cache.
 
 Dense inference is the case l = 0 with both keep rates at 1: nothing is
 dropped, no predictor is consulted, and ``model.prefill``,
@@ -335,16 +339,18 @@ def _sparse_forward(model: Model, predictors: Predictors, state: SequenceState,
     return x, keep, flags
 
 
-def _prefill(model: Model, predictors: Predictors, state: SequenceState,
-             cfg: SparsityConfig, cache=None, meter=None):
-    """Checked prefill of one sequence: its last-position logits and kept
-    image indices, with every layer's K/V written into ``cache`` if given."""
+def _forward(model: Model, predictors: Predictors, state: SequenceState,
+             cfg: SparsityConfig, outputs: bool, cache=None, meter=None):
+    """Checked ``_sparse_forward``: the newest row's logits, the kept image
+    indices and the output flags (None without output rows)."""
     _validate(model, predictors, cfg)
     if state.n_prefill == 0:
-        raise ContractViolation("sparse_prefill: empty state")
-    x, keep, _ = _sparse_forward(model, predictors, state, cfg, False,
-                                 cache=cache, meter=meter)
-    return _logits_at(model, x[-1]), keep
+        raise ContractViolation("empty state: no image or text rows")
+    if outputs and state.n_output < 1:
+        raise ContractViolation("no-cache decoding needs >= 1 output token")
+    x, keep, flags = _sparse_forward(model, predictors, state, cfg, outputs,
+                                     cache=cache, meter=meter)
+    return _logits_at(model, x[-1]), keep, flags
 
 
 def sparse_prefill(model: Model, predictors: Predictors, state: SequenceState,
@@ -355,7 +361,7 @@ def sparse_prefill(model: Model, predictors: Predictors, state: SequenceState,
     holds every prompt token for layers <= l and only survivors beyond.
     """
     cache = KVCacheStore(model.config.num_layers)
-    logits, keep = _prefill(model, predictors, state, cfg, cache, meter)
+    logits, keep, _ = _forward(model, predictors, state, cfg, False, cache, meter)
     return logits, cache, keep
 
 
@@ -371,14 +377,8 @@ def sparse_decode_no_cache(model: Model, predictors: Predictors,
     its new output token. Returns the newest position's logits (plus the
     kept image indices and every output's flag on request).
     """
-    _validate(model, predictors, cfg)
-    if state.n_output < 1:
-        raise ContractViolation("sparse_decode_no_cache: need >= 1 output token")
-    x, keep, flags = _sparse_forward(model, predictors, state, cfg, True)
-    logits = _logits_at(model, x[-1])
-    if return_decisions:
-        return logits, keep, flags
-    return logits
+    logits, keep, flags = _forward(model, predictors, state, cfg, True)
+    return (logits, keep, flags) if return_decisions else logits
 
 
 def sparse_decode_with_cache(model: Model, predictors: Predictors,
@@ -396,7 +396,7 @@ def sparse_decode_with_cache(model: Model, predictors: Predictors,
     overwrites it. The decision is recorded once and shared by all deeper
     layers. The step is atomic on a bad input: the cache must have one
     layer per model layer, ``last_token`` must be one finite (hidden_dim,)
-    vector and ``position`` an integer below max_seq_len past every layer's
+    ndarray and ``position`` an integer below max_seq_len past every layer's
     last cached one, all checked before any layer runs, so each fault
     raises ``ContractViolation`` with the cache unchanged. Returns (logits,
     admitted flag).
@@ -405,8 +405,11 @@ def sparse_decode_with_cache(model: Model, predictors: Predictors,
     if cache.num_layers != model.config.num_layers:
         raise ContractViolation(f"cache of {cache.num_layers} layers for a "
                                 f"{model.config.num_layers}-layer model")
-    if np.shape(last_token) != (model.config.hidden_dim,):
-        raise ContractViolation(f"cached step token shape {np.shape(last_token)} "
+    if not isinstance(last_token, np.ndarray):
+        raise ContractViolation(f"cached step token is a {type(last_token).__name__}, "
+                                f"not an ndarray")
+    if last_token.shape != (model.config.hidden_dim,):
+        raise ContractViolation(f"cached step token shape {last_token.shape} "
                                 f"is not ({model.config.hidden_dim},)")
     if not np.isfinite(last_token).all():
         raise ContractViolation("cached step token is not finite")
@@ -445,38 +448,33 @@ def sparse_greedy_generate(model: Model, predictors: Predictors,
     if not (_is_int(max_new_tokens) and max_new_tokens >= 0):
         raise ContractViolation(f"max_new_tokens must be an integer >= 0, "
                                 f"got {max_new_tokens!r}")
+    _validate(model, predictors, cfg)
     trace = GenerationTrace(mode=mode, n_image=state.n_image, n_text=state.n_text)
-    work = state.copy()
     if max_new_tokens == 0:
         return trace
+    work = state.copy()
     # no-cache steps re-run every row, so only the cached mode keeps K/V
     cache = KVCacheStore(model.config.num_layers) if mode == "with_cache" else None
-    logits, keep = _prefill(model, predictors, work, cfg, cache)
+    logits, keep, _ = _forward(model, predictors, work, cfg, False, cache)
     trace.image_keep = list(map(int, keep))
-
-    def cached_step(token, position):
-        vec = embed_output_token(model, token, position)
-        return sparse_decode_with_cache(model, predictors, cache, trace.admissions,
-                                        vec, position, cfg)[0]
-
-    def no_cache_step(token, position):
-        append_output(model, work, token)
-        logits, _, out_flags = sparse_decode_no_cache(
-            model, predictors, work, cfg, return_decisions=True)
-        trace.admissions.append(AdmissionRecord(
-            position=position, admitted=bool(out_flags[-1]), step=len(trace.admissions)))
-        return logits
-
-    step = cached_step if mode == "with_cache" else no_cache_step
     for position in range(work.n_prefill, work.n_prefill + max_new_tokens):
         token = int(np.argmax(logits))
         trace.token_ids.append(token)
         reason = stop_reason(model, token, position)
         if reason:
             trace.stop_reason = reason
-            break
-        if len(trace.token_ids) < max_new_tokens:  # the last token is not fed back
-            logits = step(token, position)
+        if reason or len(trace.token_ids) == max_new_tokens:
+            break  # the last token is not fed back
+        if cache is None:
+            append_output(model, work, token)
+            logits, _, flags = sparse_decode_no_cache(model, predictors, work, cfg,
+                                                      return_decisions=True)
+            trace.admissions.append(AdmissionRecord(
+                position=position, admitted=bool(flags[-1]), step=len(trace.admissions)))
+        else:
+            vec = embed_output_token(model, token, position)
+            logits = sparse_decode_with_cache(model, predictors, cache, trace.admissions,
+                                              vec, position, cfg)[0]
     return trace
 
 
@@ -529,7 +527,8 @@ def batch_sparse_prefill(model: Model, predictors: Predictors,
     """Sparse prefill of each lane on its own, with no cache kept: the
     (B, vocab) last-position logits and the per-lane keep sets, exactly
     those of ``sparse_prefill`` on each lane alone."""
-    logits, keep_sets = zip(*(_prefill(model, predictors, st, cfg) for st in batch.states))
+    logits, keep_sets, _ = zip(*(_forward(model, predictors, st, cfg, False)
+                                 for st in batch.states))
     return np.stack(logits), list(keep_sets)
 
 
@@ -541,21 +540,22 @@ def batch_sparse_decode(model: Model, predictors: Predictors,
     its prompt then ``sparse_decode_with_cache`` over its outputs
     (``with_cache``). Lanes may hold different numbers of outputs, but each
     needs at least one."""
-    _validate(model, predictors, cfg)
     if mode not in ("no_cache", "with_cache"):
         raise ContractViolation(f"unknown mode {mode!r}")
     if any(st.n_output < 1 for st in batch.states):
         raise ContractViolation("batch decode: every sample needs output tokens")
-    step = sparse_decode_no_cache if mode == "no_cache" else _decode_lane_with_cache
-    return np.stack([step(model, predictors, st, cfg) for st in batch.states])
+    return np.stack([sparse_decode_no_cache(model, predictors, st, cfg) if mode == "no_cache"
+                     else _cached_logits(model, predictors, st, cfg)[-1]
+                     for st in batch.states])
 
 
-def _decode_lane_with_cache(model, predictors, state, cfg):
-    """Next-token logits after caching ``state``'s prompt and feeding its
-    output tokens one cached step at a time."""
+def _cached_logits(model, predictors, state, cfg) -> list:
+    """Teacher forcing over a cache: the logits after ``sparse_prefill`` of
+    ``state``'s prompt, then after each of its output rows, fed in order as
+    one ``sparse_decode_with_cache`` step each."""
     logits, cache, _ = sparse_prefill(model, predictors, state, cfg)
-    admissions = []
+    out, admissions = [logits], []
     for t in range(state.n_output):
-        logits, _ = sparse_decode_with_cache(model, predictors, cache, admissions,
-                                             state.output[t], state.n_prefill + t, cfg)
-    return logits
+        out.append(sparse_decode_with_cache(model, predictors, cache, admissions,
+                                            state.output[t], state.n_prefill + t, cfg)[0])
+    return out

@@ -31,10 +31,10 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import ContractViolation
-from .model import (Model, _is_int, _is_real, _logits_at, causal_mask, embed_inputs,
-                    embed_output_token, layer_forward)
+from .model import (Model, _is_int, _is_real, _logits_at, append_output, causal_mask,
+                    embed_inputs, layer_forward)
 from .predictors import Predictors, image_decisions, output_decisions
-from .sparsify import SparsityConfig, sparse_decode_with_cache, sparse_prefill
+from .sparsify import SparsityConfig, _cached_logits
 
 
 @dataclass
@@ -54,7 +54,7 @@ class TrainConfig:
 
     def validate(self):
         for name, low in (("total_steps", 1), ("batch_size", 1), ("min_output_len", 0),
-                          ("lambda_warmup_steps", 0)):
+                          ("lambda_warmup_steps", 0), ("seed", 0)):
             if not (_is_int(getattr(self, name)) and getattr(self, name) >= low):
                 raise ContractViolation(f"{name} must be an integer >= {low}")
         for name in ("lambda_reg", "tau_initial", "tau_final", "momentum",
@@ -195,10 +195,11 @@ def training_forward(model: Model, predictors: Predictors, batch: TrainBatch,
     (B, n_output) keep flags, which is how the masked-vs-hard equivalence
     suite drives this path.
     ``hard_drop`` zeroes dropped token vectors instead of masking attention
-    (the documented breakage variant). The batch is checked against the
-    model first.
+    (the documented breakage variant). The batch and the sparsity config
+    are checked against the model first.
     """
     batch.validate(model.config)
+    sparsity.validate(model.config.num_layers)
     bsz = batch.size
     n_img = batch.image_feats.shape[1]
     n_txt = batch.text_ids.shape[1]
@@ -213,40 +214,30 @@ def training_forward(model: Model, predictors: Predictors, batch: TrainBatch,
     segments.append(model.token_emb[batch.output_ids])
     x = ad.concat(segments, axis=1) if len(segments) > 1 else segments[0]
     x = x + model.pos_emb[:n_total]
-    tri = ad.constant(causal_mask(n_total)[None, None, :, :])
-    for layer in model.layers[:split]:
-        x = layer_forward(layer, x, tri, model.config.num_heads)[0]
-        if trace_hidden is not None:
-            trace_hidden.append(x.data)
-
+    mask = ad.constant(causal_mask(n_total)[None, None, :, :])
     if forced_masks is not None:
-        m_img = ad.constant(np.asarray(forced_masks[0], dtype=np.float64))
-        m_out = ad.constant(np.asarray(forced_masks[1], dtype=np.float64))
-    else:
-        # Predictors read the sparsify-layer features through a stop-gradient:
-        # with the regularizer weight in the hundreds, letting its gradient
-        # reach the trunk through this branch drowns the task loss at toy
-        # scale. The predictors still train end-to-end through the masked
-        # attention and the straight-through mask path.
-        if n_img:
-            d_img = image_decisions(predictors, x[:, :n_img].detach())
-            relaxed = gumbel_softmax_rows(d_img, tau, noise_image)
-            m_img = ste_mask(relaxed)
-        else:
-            m_img = ad.constant(np.zeros((bsz, 0)))
-        d_out = output_decisions(predictors, x[:, n_img + n_txt:].detach())
-        relaxed_out = gumbel_softmax_rows(d_out, tau, noise_output)
-        m_out = ste_mask(relaxed_out)
-
-    flags = ad.concat(
-        [m_img, ad.constant(np.ones((bsz, n_txt))), m_out], axis=1)
-    if hard_drop:
-        x = x * flags.reshape(bsz, n_total, 1)
-        mask_beyond = tri
-    else:
-        mask_beyond = _mask_matrix_t(flags, n_total).reshape(bsz, 1, n_total, n_total)
-    for layer in model.layers[split:]:
-        x = layer_forward(layer, x, mask_beyond, model.config.num_heads)[0]
+        m_img, m_out = (ad.constant(np.asarray(m, dtype=np.float64)) for m in forced_masks)
+    for li, layer in enumerate(model.layers):
+        if li == split:
+            if forced_masks is None:
+                # Predictors read the sparsify-layer features through a stop-gradient:
+                # with the regularizer weight in the hundreds, letting its gradient
+                # reach the trunk through this branch drowns the task loss at toy
+                # scale. The predictors still train end-to-end through the masked
+                # attention and the straight-through mask path.
+                if n_img:
+                    d_img = image_decisions(predictors, x[:, :n_img].detach())
+                    m_img = ste_mask(gumbel_softmax_rows(d_img, tau, noise_image))
+                else:
+                    m_img = ad.constant(np.zeros((bsz, 0)))
+                d_out = output_decisions(predictors, x[:, n_img + n_txt:].detach())
+                m_out = ste_mask(gumbel_softmax_rows(d_out, tau, noise_output))
+            flags = ad.concat([m_img, ad.constant(np.ones((bsz, n_txt))), m_out], axis=1)
+            if hard_drop:
+                x = x * flags.reshape(bsz, n_total, 1)
+            else:
+                mask = _mask_matrix_t(flags, n_total).reshape(bsz, 1, n_total, n_total)
+        x = layer_forward(layer, x, mask, model.config.num_heads)[0]
         if trace_hidden is not None:
             trace_hidden.append(x.data)
 
@@ -446,16 +437,12 @@ def evaluate_policy_loss(model: Model, predictors: Predictors, samples,
     total, count = 0.0, 0
     for sample in samples:
         state = embed_inputs(model, sample.image_feats, sample.text_ids)
-        logits, cache, _ = sparse_prefill(model, predictors, state, sparsity)
-        admissions = []
-        for t, target in enumerate(sample.output_ids):
+        for target in sample.output_ids[:-1]:
+            append_output(model, state, int(target))
+        for logits, target in zip(_cached_logits(model, predictors, state, sparsity),
+                                  sample.output_ids):
             shifted = logits - logits.max()
             log_z = np.log(np.exp(shifted).sum())
             total += float(log_z - shifted[target])
             count += 1
-            if t + 1 < len(sample.output_ids):
-                vec = embed_output_token(model, int(target), state.n_prefill + t)
-                logits, _ = sparse_decode_with_cache(
-                    model, predictors, cache, admissions, vec,
-                    state.n_prefill + t, sparsity)
     return total / count

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -734,3 +736,14 @@ def test_checkpoint_non_finite_weights_rejected(tmp_path):
     m.save_checkpoint(path, model)
     with pytest.raises(CheckpointError, match="finite"):
         m.load_checkpoint(path)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("num_layers", 2.5), ("hidden_dim", 64.0), ("num_heads", True), ("ffn_dim", 128.0),
+    ("vocab_size", "96"), ("max_seq_len", np.float64(128)), ("image_feature_dim", 32.0),
+])
+def test_model_config_rejects_an_integer_field_that_is_not_an_integer(field, value):
+    """Every integer field is an integer >= 1 and not a bool, checked before
+    any weight is drawn."""
+    with pytest.raises(ContractViolation, match=f"ModelConfig.{field}"):
+        m.make_model(replace(TOY, **{field: value}), seed=0)

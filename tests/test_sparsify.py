@@ -404,6 +404,13 @@ def test_cached_step_without_usable_predictors_leaves_cache_unchanged():
     ], match="predictors")
 
 
+def test_cached_step_with_a_token_that_is_not_an_ndarray_leaves_cache_unchanged():
+    assert_rejected_steps_leave_the_cache_unchanged([
+        lambda model, vec, pos: {"last_token": vec.tolist()},
+        lambda model, vec, pos: {"last_token": tuple(vec)},
+    ], match="ndarray")
+
+
 @pytest.mark.parametrize("policy", ["learned", "random", "structure"])
 def test_mode_equivalence_policies(policy):
     model, preds, state = setup(12, n_image=8, n_text=3)
@@ -605,6 +612,19 @@ def test_batch_decode_rejects_lane_without_outputs_in_both_modes():
                                    mode=mode)
 
 
+def test_decoding_a_state_without_prompt_rows_is_refused_in_both_modes():
+    model, preds, _ = setup(27)
+    empty = np.zeros((0, CFG.hidden_dim))
+    state = m.SequenceState(empty, empty.copy(), empty.copy())
+    for token in (5, 9):
+        m.append_output(model, state, token)
+    with pytest.raises(ContractViolation, match="empty state"):
+        sp.sparse_decode_no_cache(model, preds, state, scfg())
+    for mode in ("no_cache", "with_cache"):
+        with pytest.raises(ContractViolation, match="empty state"):
+            sp.batch_sparse_decode(model, preds, sp.PaddedBatch([state]), scfg(), mode=mode)
+
+
 def test_batch_with_text_only_lane_matches_single():
     model, preds, _ = setup(19)
     states = batch_of_states(model, [11, 12], [10, 0], [3, 3])
@@ -760,6 +780,21 @@ def test_sparse_greedy_generate_rejects_negative_max_new_tokens():
 
 SMALL = m.ModelConfig(num_layers=3, hidden_dim=32, num_heads=4, ffn_dim=64,
                       vocab_size=48, max_seq_len=64, image_feature_dim=16)
+
+
+def test_generation_of_zero_tokens_still_checks_the_config_and_predictors():
+    model = m.make_model(SMALL, seed=28)
+    preds = make_predictors(PredictorConfig(input_dim=32), seed=29)
+    state = m.embed_inputs(model, np.ones((4, 16)), [3, 4])
+    for mode in ("no_cache", "with_cache"):
+        with pytest.raises(ContractViolation, match="sparsify_layer"):
+            sp.sparse_greedy_generate(model, preds, state, scfg(sparsify_layer=7), 0,
+                                      mode=mode)
+        with pytest.raises(ContractViolation, match="predictors"):
+            sp.sparse_greedy_generate(model, None, state, scfg(sparsify_layer=1), 0,
+                                      mode=mode)
+        assert sp.sparse_greedy_generate(model, preds, state, scfg(sparsify_layer=1), 0,
+                                         mode=mode).token_ids == []
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)

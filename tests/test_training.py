@@ -215,6 +215,38 @@ def test_evaluate_policy_loss_at_keep_all_is_the_dense_loss():
     assert np.isfinite(sparse)
 
 
+def teacher_forced_cached_loss(model, preds, samples, sparsity):
+    """``evaluate_policy_loss`` written out: each target scored, in sample
+    order, on the logits cached sparse decoding gives before the target is
+    fed as one cached step. Returns the mean and the last sample's
+    admissions."""
+    total, count = 0.0, 0
+    for sample in samples:
+        state = m.embed_inputs(model, sample.image_feats, sample.text_ids)
+        logits, cache, _ = sp.sparse_prefill(model, preds, state, sparsity)
+        admissions = []
+        for t, target in enumerate(sample.output_ids):
+            shifted = logits - logits.max()
+            total += float(np.log(np.exp(shifted).sum()) - shifted[target])
+            count += 1
+            if t + 1 < len(sample.output_ids):
+                position = state.n_prefill + t
+                vec = m.embed_output_token(model, int(target), position)
+                logits, _ = sp.sparse_decode_with_cache(model, preds, cache, admissions,
+                                                        vec, position, sparsity)
+    return total / count, admissions
+
+
+def test_evaluate_policy_loss_under_a_learned_policy_equals_cached_decoding():
+    task, model, _, _ = keyed_lookup_setup()
+    preds = make_predictors(PredictorConfig(input_dim=32, keep_bias_init=0.0), seed=51)
+    samples = task.eval_samples(np.random.default_rng(58), 3)
+    sparsity = sp.SparsityConfig(sparsify_layer=1)
+    want, admissions = teacher_forced_cached_loss(model, preds, samples, sparsity)
+    assert 0 < sum(r.admitted for r in admissions) < len(admissions)
+    assert tr.evaluate_policy_loss(model, preds, samples, sparsity) == want
+
+
 def test_evaluate_policy_loss_rejects_a_sample_without_outputs():
     task, model, preds, _ = keyed_lookup_setup()
     samples = task.eval_samples(np.random.default_rng(54), 2)
@@ -352,3 +384,14 @@ def test_train_batch_contract_accepts_the_task_batches():
     task, model, _, train_cfg = keyed_lookup_setup()
     batch = task.training_batch(np.random.default_rng(60), train_cfg.batch_size)
     assert batch.validate(model.config) is batch
+
+
+@pytest.mark.parametrize("seed", [-1, 2.5, True, None])
+def test_run_training_rejects_a_seed_that_is_not_an_integer_at_least_zero(seed):
+    task, model, preds, train_cfg = keyed_lookup_setup()
+    before = {name: arr.copy() for name, arr in tr._grouped_arrays(model, preds)}
+    with pytest.raises(ContractViolation, match="seed"):
+        tr.run_training(model, preds, task, replace(train_cfg, seed=seed),
+                        sp.SparsityConfig(sparsify_layer=1))
+    for name, arr in tr._grouped_arrays(model, preds):
+        assert np.array_equal(arr, before[name]), name
