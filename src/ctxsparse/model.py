@@ -23,7 +23,12 @@ triangle of a causal mask. It normalizes late, dividing ``exp_scores @ v``
 by the row sums that ``kernels.exp_rows`` returns. Calls over more than one
 block of array rows (prefill and no-cache layers past 64 rows, the image
 predictor) bound every score by |q_i| max_j |k_j| and exponentiate a block
-whose bound stays within 64 without the row-max shift.
+whose bound stays within 64 without the row-max shift. Given ``rows``, it
+projects q, k and v for every row but runs attention and FFN only for
+those rows (at least 2 of any block it touches, see ``_block_rows``) and
+returns theirs alone: prefill and no-cache decoding compute the last layer
+for the newest row and, once a sequence's keep decisions are recorded, the
+layer below the sparsify layer for the survivors and the undecided outputs.
 
 Positions are always the ORIGINAL positions assigned at embedding time, so
 removing tokens later never renumbers the survivors.
@@ -370,8 +375,36 @@ def _query_blocks(mask, n: int, n_keys: int):
             yield rows, kmax, mask[..., :kmax]
 
 
+def _block_rows(rows: np.ndarray, block: slice, block_mask):
+    """What ``layer_forward`` computes of one query block for the sorted
+    row indices ``rows``: ``(run, picked, run_mask)``, the rows to run, which
+    of their outputs were asked for, and the block's mask cut to them.
+
+    ``run`` is None when no row of the block is asked for, the block slice
+    itself when every row is, and otherwise an index array of the asked
+    rows. ``picked`` is None when every run row was asked for. A single
+    asked row of a longer block runs with one more row of the block, since
+    numpy sends a one-row matmul to gemv, which rounds differently from the
+    gemm that runs the whole block; with two rows or more gemm gives each
+    row the bits it has in the whole block's product.
+    """
+    asked = rows[(rows >= block.start) & (rows < block.stop)]
+    if asked.size == 0:
+        return None, None, None
+    if asked.size == block.stop - block.start:
+        return block, None, block_mask
+    run, picked = asked, None
+    if asked.size == 1:
+        other = block.start + 1 if asked[0] == block.start else block.start
+        run = np.sort([other, asked[0]])
+        picked = run == asked[0]
+    if np.ndim(block_mask) >= 2 and np.shape(block_mask)[-2] > 1:  # one mask row per query row
+        block_mask = block_mask[..., run - block.start, :]
+    return run, picked, block_mask
+
+
 def layer_forward(layer: LayerWeights, x: np.ndarray, mask, num_heads: int,
-                  past_kv=None, meter=None):
+                  past_kv=None, meter=None, rows=None):
     """One pre-norm decoder layer: multi-head attention then FFN, both
     residual. The one implementation behind every mode, training included.
 
@@ -390,6 +423,15 @@ def layer_forward(layer: LayerWeights, x: np.ndarray, mask, num_heads: int,
     (B, 1, n, n) padded one, or (B, 1, 1, m + n) key validity); ``None``
     means every key is visible. Returns the output, shaped like ``x``, and
     the rows' own (k, v) projections for the cache.
+
+    ``rows``, an ascending index array over the n rows (arrays only, not
+    the tape), asks for the output of those rows alone: q, k and v are still
+    projected for all n rows, so the asked rows see the same keys, and the
+    output has one row per asked row. Each block's key range, mask and
+    shift choice are those of the whole block; only the asked rows of a
+    block run its attention and FFN, and a single asked row runs with one
+    more row of its block (``_block_rows`` says why). The asked rows get the
+    bits they have when every row runs.
 
     After the q/k/v projections the rows run in blocks of ``_QUERY_BLOCK``
     (attention, output projection and FFN). Each block computes scores,
@@ -411,9 +453,10 @@ def layer_forward(layer: LayerWeights, x: np.ndarray, mask, num_heads: int,
     inf bound, takes the shifted path. With ``n <= _QUERY_BLOCK`` (every
     cached decode step) there is one block over all keys, the mask is not
     read and the shift is always taken, as it is on the tape, so those calls
-    are unchanged bit for bit. ``meter`` still counts the
-    full-square q @ k^T and probabilities @ v FLOPs, as the benchmark's
-    analytic counts (``perfbench/costs.py``) do. On ``autodiff.Tensor``
+    are unchanged bit for bit. ``meter`` still counts the analytic
+    full-square q @ k^T and probabilities @ v FLOPs over all n rows, as
+    the benchmark's analytic counts (``perfbench/costs.py``) do, whichever
+    ``rows`` are asked for. On ``autodiff.Tensor``
     rows, weights and mask (training) it records the tape, with
     ``autodiff.exp_rows_lastdim`` in place of the kernel.
     """
@@ -445,29 +488,35 @@ def layer_forward(layer: LayerWeights, x: np.ndarray, mask, num_heads: int,
         bound = (np.linalg.norm(q_h, axis=-1)
                  * np.linalg.norm(k_h, axis=-1).max(axis=-1, keepdims=True))
     blocks = []
-    for rows, kmax, block_mask in _query_blocks(mask, n, n_keys):
-        scores = q_h[..., rows, :] @ k_h[..., :kmax, :].swapaxes(-1, -2)
+    for block, kmax, block_mask in _query_blocks(mask, n, n_keys):
+        if not tape:  # a NaN or inf bound fails the test and keeps the shift
+            shift = bound is None or not bound[..., block].max() <= _UNSHIFTED_LIMIT
+        picked = None
+        if rows is not None:
+            block, picked, block_mask = _block_rows(rows, block, block_mask)
+            if block is None:
+                continue
+        scores = q_h[..., block, :] @ k_h[..., :kmax, :].swapaxes(-1, -2)
         if tape:
             scores, sums = ad.exp_rows_lastdim(scores, block_mask)
         else:  # in place; looked up per call, so the benchmark's traced run can wrap it
-            # a NaN or inf bound fails the test and keeps the shift
-            shift = bound is None or not bound[..., rows].max() <= _UNSHIFTED_LIMIT
             sums = kernels.exp_rows(scores, block_mask, shift=shift)
         ctx = scores @ v_h[..., :kmax, :]
         ctx /= sums  # in place on arrays; a new tape node on Tensors
-        x_rows = x[..., rows, :]
+        x_rows = x[..., block, :]
         ctx = ctx.swapaxes(-2, -3).reshape(x_rows.shape)
         attn_out = x_rows + ctx @ layer.w_o
         normed2 = _rms_norm(attn_out, layer.ffn_norm_gain)
-        blocks.append(attn_out + _silu(normed2 @ layer.ffn_in) @ layer.ffn_out)
+        y = attn_out + _silu(normed2 @ layer.ffn_in) @ layer.ffn_out
+        blocks.append(y if picked is None else y[..., picked, :])
     out = blocks[0] if len(blocks) == 1 else concat(blocks, axis=-2)
     if meter is not None:
-        rows, f = x.size // d, layer.ffn_in.shape[1]
-        for shape in ((rows, d, d), (rows, d, d), (rows, d, d), (rows, d, d),
-                      (rows, d, f), (rows, f, d)):
+        every, f = x.size // d, layer.ffn_in.shape[1]
+        for shape in ((every, d, d), (every, d, d), (every, d, d), (every, d, d),
+                      (every, d, f), (every, f, d)):
             meter.add_matmul(*shape)
-        meter.add_matmul(num_heads * rows, dh, n_keys)  # q @ k^T
-        meter.add_matmul(num_heads * rows, n_keys, dh)  # exp_scores @ v
+        meter.add_matmul(num_heads * every, dh, n_keys)  # q @ k^T
+        meter.add_matmul(num_heads * every, n_keys, dh)  # exp_scores @ v
     return out, k, v
 
 
@@ -578,7 +627,7 @@ def full_logits(model: Model, state: SequenceState) -> np.ndarray:
     """Logits at every position; used by tests and training oracles."""
     from .sparsify import _sparse_forward
 
-    hidden = _sparse_forward(model, None, state, _keep_all(), True)[0]
+    hidden = _sparse_forward(model, None, state, _keep_all(), True, every_row=True)[0]
     return _logits_at(model, hidden)
 
 

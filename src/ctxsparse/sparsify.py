@@ -28,7 +28,14 @@ sequence may score a token ever so slightly differently.
 
 One forward per sequence: prefill and no-cache decoding, dense or sparse,
 run ``_sparse_forward``, one layer loop over one sequence's rows that
-decides at layer l and carries only the survivors on. ``_forward`` is the
+decides at layer l and carries only the survivors on. Each layer projects
+k and v for all its input rows but runs attention and FFN only for the
+rows a later layer reads: the last layer only for the newest row (every
+row for ``model.full_logits``), and layer l - 1, when the state's record
+holds, only for the record's survivors and the outputs it has not decided
+yet; a forward that decides afresh runs every row there, since the image
+predictor reads them all. The values are those of running every row, bit
+for bit (``model.layer_forward`` says how). ``_forward`` is the
 checked call of it that this module's prefill, no-cache and generation
 entry points share. ``_cached_logits`` is the one teacher-forced loop over
 a cache: prefill, then each output row fed as one cached step. A batch
@@ -287,8 +294,9 @@ def _decide(model: Model, predictors: Predictors, state: SequenceState,
     if not outputs or not state.n_output:
         return rec.image_keep, None
     k = rec.output.shape[0]
-    if k < state.n_output:
-        new = _output_flags(predictors, rows[state.n_prefill + k:], cfg, first_index=k)
+    if k < state.n_output:  # the undecided outputs are the last rows
+        new = _output_flags(predictors, rows[len(rows) - (state.n_output - k):], cfg,
+                            first_index=k)
         rec.output_flags = _read_only(np.concatenate([rec.output_flags, new]))
         rec.output = state.output.copy()
     return rec.image_keep, rec.output_flags
@@ -309,8 +317,26 @@ def _survivors(state: SequenceState, image_keep: np.ndarray, out_flags=None):
 # -- the one forward for prefill and no-cache decoding ---------------------------
 
 
+def _read_at_split(model: Model, predictors: Predictors, state: SequenceState,
+                   cfg: SparsityConfig, outputs: bool):
+    """Original positions of the rows that layer l reads of layer l - 1's
+    output, or None for every row: with a record that holds, its survivors
+    plus the outputs it has not decided yet (the newest among them), whose
+    layer-l rows the output predictor reads; otherwise every row, since
+    deciding afresh runs the image predictor over all image rows."""
+    rec = state.decisions
+    if rec is None or not rec.holds_for(model, predictors, state, cfg):
+        return None
+    flags = None
+    if outputs and state.n_output:
+        flags = np.ones(state.n_output, dtype=np.int64)
+        flags[:len(rec.output_flags)] = rec.output_flags
+    return _survivors(state, rec.image_keep, flags)
+
+
 def _sparse_forward(model: Model, predictors: Predictors, state: SequenceState,
-                    cfg: SparsityConfig, outputs: bool, cache=None, meter=None):
+                    cfg: SparsityConfig, outputs: bool, cache=None, meter=None,
+                    every_row: bool = False):
     """Prefill (``outputs`` False) or no-cache decoding (``outputs`` True)
     of one sequence.
 
@@ -321,21 +347,35 @@ def _sparse_forward(model: Model, predictors: Predictors, state: SequenceState,
     layers l, l + 1, .... Given a ``cache``, every layer's K/V rows are
     written into it at their original positions.
 
-    Returns the final (n, d) rows, the newest token's last, the kept image
-    indices, and the output flags (None without output rows).
+    Layer l - 1 computes only the rows ``_read_at_split`` names, and the
+    last layer only the newest row unless ``every_row``. Returns the final
+    rows (every survivor when ``every_row``, else the newest alone), the
+    kept image indices, and the output flags (None without output rows).
+    A state without image or text rows is refused.
     """
+    if state.n_prefill == 0:
+        raise ContractViolation("empty state: no image or text rows")
     x = state.all_tokens() if outputs else state.prefill_tokens()
-    positions = np.arange(x.shape[0])
+    positions = np.arange(x.shape[0])  # each row's original position
+    split, last = cfg.sparsify_layer, len(model.layers) - 1
+    read = _read_at_split(model, predictors, state, cfg, outputs) if split else None
     for li, layer in enumerate(model.layers):
-        if li == cfg.sparsify_layer:
+        if li == split:
             keep, flags = _decide(model, predictors, state, x, cfg, outputs)
-            positions = _survivors(state, keep, flags)
-            x = x[positions]
-        if li in (0, cfg.sparsify_layer):
+            survivors = _survivors(state, keep, flags)
+            x = x[np.searchsorted(positions, survivors)]
+            positions = survivors
+        if li in (0, split):
             mask = np.tri(len(x), dtype=bool)  # causal; 1/8 of causal_mask's bytes
-        x, k, v = layer_forward(layer, x, mask, model.config.num_heads, meter=meter)
+        rows = read if li == split - 1 else None
+        if li == last and not every_row:
+            rows = np.array([len(x) - 1])
+        x, k, v = layer_forward(layer, x, mask, model.config.num_heads, meter=meter,
+                                rows=rows)
         if cache is not None:
             cache.extend(li, k, v, positions)
+        if rows is not None:
+            positions = positions[rows]
     return x, keep, flags
 
 
@@ -344,9 +384,8 @@ def _forward(model: Model, predictors: Predictors, state: SequenceState,
     """Checked ``_sparse_forward``: the newest row's logits, the kept image
     indices and the output flags (None without output rows)."""
     _validate(model, predictors, cfg)
-    if state.n_prefill == 0:
-        raise ContractViolation("empty state: no image or text rows")
-    if outputs and state.n_output < 1:
+    # a state without prompt rows is refused as empty by _sparse_forward
+    if outputs and state.n_prefill and state.n_output < 1:
         raise ContractViolation("no-cache decoding needs >= 1 output token")
     x, keep, flags = _sparse_forward(model, predictors, state, cfg, outputs,
                                      cache=cache, meter=meter)
@@ -396,10 +435,10 @@ def sparse_decode_with_cache(model: Model, predictors: Predictors,
     overwrites it. The decision is recorded once and shared by all deeper
     layers. The step is atomic on a bad input: the cache must have one
     layer per model layer, ``last_token`` must be one finite (hidden_dim,)
-    ndarray and ``position`` an integer below max_seq_len past every layer's
-    last cached one, all checked before any layer runs, so each fault
-    raises ``ContractViolation`` with the cache unchanged. Returns (logits,
-    admitted flag).
+    ndarray of a real floating dtype and ``position`` an integer below
+    max_seq_len past every layer's last cached one, all checked before any
+    layer runs, so each fault raises ``ContractViolation`` with the cache
+    unchanged. Returns (logits, admitted flag).
     """
     _validate(model, predictors, cfg)
     if cache.num_layers != model.config.num_layers:
@@ -408,6 +447,9 @@ def sparse_decode_with_cache(model: Model, predictors: Predictors,
     if not isinstance(last_token, np.ndarray):
         raise ContractViolation(f"cached step token is a {type(last_token).__name__}, "
                                 f"not an ndarray")
+    if last_token.dtype.kind != "f":
+        raise ContractViolation(f"cached step token of dtype {last_token.dtype} "
+                                f"is not real floating")
     if last_token.shape != (model.config.hidden_dim,):
         raise ContractViolation(f"cached step token shape {last_token.shape} "
                                 f"is not ({model.config.hidden_dim},)")

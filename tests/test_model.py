@@ -276,6 +276,63 @@ def test_layer_forward_in_place_softmax_aliases_nothing():
     assert np.array_equal(x2, x2_before)
 
 
+def test_layer_forward_rows_get_the_bits_of_the_full_output():
+    """Asked rows, one per block included, get exactly their rows of the
+    call that runs every row, under each mask form and over a cache."""
+    from ctxsparse.sparsify import _padded_causal_mask, left_pad
+    layer = toy_model(16).layers[1]
+    rng = np.random.default_rng(38)
+    for n in BLOCK_ROWS:
+        x = rng.normal(size=(n, 64))
+        asks = {(n - 1,), (0,), (0, n - 1), tuple(range(0, n, 3)),
+                tuple(rng.choice(n, size=(n + 1) // 2, replace=False))}
+        xb, valid = left_pad([x, x[: n // 2 + 1]])
+        calls = [(x, mask, None) for mask in (None, m.causal_mask(n),
+                                              holed_causal_mask(n, rng))]
+        calls += [(xb, _padded_causal_mask(valid)[:, None], None),
+                  (xb, valid[:, None, None, :], None),
+                  (x, m.causal_mask(40 + n)[40:],
+                   (rng.normal(size=(40, 64)), rng.normal(size=(40, 64))))]
+        for rows in (np.unique(ask) for ask in asks):
+            for xs, mask, past in calls:
+                full, k, v = m.layer_forward(layer, xs, mask, 4, past_kv=past)
+                part, k2, v2 = m.layer_forward(layer, xs, mask, 4, past_kv=past, rows=rows)
+                assert np.array_equal(part, full[..., rows, :])
+                assert np.array_equal(k2, k) and np.array_equal(v2, v)
+
+
+def test_blas_gives_a_row_subset_the_bits_of_the_full_product():
+    """Canary for ``layer_forward``'s ``rows``: at the model's matmul
+    shapes, an ascending subset of >= 2 rows of ``a`` gives exactly those
+    rows of ``a @ b``, with ``a`` laid out as the layer lays it out. One row
+    is left out on purpose: numpy sends a one-row matmul to gemv, which
+    rounds differently from gemm, so ``layer_forward`` never runs a single
+    row of a longer block. If a numpy or BLAS change breaks this, the
+    bit-for-bit tests of recorded decisions fail too, without saying why."""
+    rng = np.random.default_rng(39)
+    q = rng.normal(size=(200, 64))
+    heads = q.reshape(200, 4, 16).swapaxes(0, 1)  # (4, 200, 16) as layer_forward splits it
+    for n, start in ((2, 0), (3, 7), (17, 0), (64, 0), (64, 64), (8, 192)):
+        block = slice(start, start + n)
+        subsets = {(0, 1), (0, n - 1), (n - 2, n - 1), tuple(range(0, n, 2)),
+                   tuple(sorted(rng.choice(n, size=max(2, n // 3), replace=False)))}
+        subsets = [np.array(s) for s in subsets if len(set(s)) >= 2]
+        products = [(q[block], rng.normal(size=(64, 384))),
+                    (rng.normal(size=(200, 384))[block], rng.normal(size=(384, 64))),
+                    (q[block], rng.normal(size=(64, 64)))]
+        for kmax in (n, 150, 608):
+            keys = rng.normal(size=(kmax, 64)).reshape(kmax, 4, 16).swapaxes(0, 1)
+            products += [(heads[:, block], keys.swapaxes(-1, -2)),
+                         (rng.random((4, n, kmax)), keys)]
+        for a, b in products:
+            full = a @ b
+            for rows in subsets:
+                assert np.array_equal(a[..., rows, :] @ b, full[..., rows, :]), (
+                    f"the BLAS rounds rows {rows.tolist()} of a {a.shape} @ {b.shape} "
+                    f"product differently from the full product; layer_forward's "
+                    f"rows would no longer give the values of running every row")
+
+
 def recording_exp_rows(monkeypatch):
     """Replace ``kernels.exp_rows`` with a pass-through that records the
     ``shift`` of every call in the returned list."""
@@ -425,6 +482,19 @@ def test_decode_no_cache_with_zero_outputs_equals_prefill():
     state = toy_state(model)
     logits, _ = m.prefill(model, state)
     assert np.array_equal(logits, m.decode_step_no_cache(model, state))
+
+
+def test_dense_forwards_refuse_a_state_without_prompt_rows():
+    model = toy_model()
+    empty = np.zeros((0, 64))
+    state = m.SequenceState(empty, empty.copy(), empty.copy())
+    for call in (m.decode_step_no_cache, m.full_logits):
+        with pytest.raises(ContractViolation, match="empty state"):
+            call(model, state)
+    m.append_output(model, state, 7)  # outputs alone are not a prompt either
+    for call in (m.decode_step_no_cache, m.full_logits):
+        with pytest.raises(ContractViolation, match="empty state"):
+            call(model, state)
 
 
 def test_decode_no_cache_deterministic():

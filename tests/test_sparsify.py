@@ -411,6 +411,13 @@ def test_cached_step_with_a_token_that_is_not_an_ndarray_leaves_cache_unchanged(
     ], match="ndarray")
 
 
+def test_cached_step_with_a_token_that_is_not_real_floating_leaves_cache_unchanged():
+    assert_rejected_steps_leave_the_cache_unchanged([
+        lambda model, vec, pos: {"last_token": vec.astype(object)},
+        lambda model, vec, pos: {"last_token": vec.astype(np.complex128)},
+    ], match="real floating")
+
+
 @pytest.mark.parametrize("policy", ["learned", "random", "structure"])
 def test_mode_equivalence_policies(policy):
     model, preds, state = setup(12, n_image=8, n_text=3)
@@ -970,3 +977,65 @@ def test_decisions_handed_to_callers_are_read_only():
     for arr in (keep, flags):
         with pytest.raises(ValueError):
             arr[0] = 0
+
+
+def count_layer_rows(monkeypatch, model):
+    """Wrap ``kernels.exp_rows`` to count the score rows each decoder layer
+    call of a forward exponentiates; returns a list that grows by one
+    ``[layer index, rows]`` per call of ``layer_forward`` from sparsify."""
+    from ctxsparse import kernels
+    calls, inside = [], []
+    exp_rows, forward = kernels.exp_rows, sp.layer_forward
+    index = {id(layer): i for i, layer in enumerate(model.layers)}
+
+    def counted(x, g=None, *, shift=True):
+        if inside:  # not the image predictor's own blocks
+            calls[-1][1] += x.shape[-2]
+        return exp_rows(x, g, shift=shift)
+
+    def tagged(layer, *args, **kwargs):
+        calls.append([index[id(layer)], 0])
+        inside.append(True)
+        try:
+            return forward(layer, *args, **kwargs)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(kernels, "exp_rows", counted)
+    monkeypatch.setattr(sp, "layer_forward", tagged)
+    return calls
+
+
+def test_forwards_compute_only_the_rows_a_later_layer_reads(monkeypatch):
+    """The last layer runs at most 2 rows; with a record that holds, layer
+    l - 1 runs the survivors and the undecided outputs (plus at most one
+    row per 64-row block); a forward that decides afresh runs every row at
+    layer l - 1, and ``full_logits`` every row at every layer."""
+    model, preds, state = setup(45, n_image=100, n_text=8)
+    cfg = scfg()  # l = 2
+    calls = count_layer_rows(monkeypatch, model)
+    sp.sparse_prefill(model, preds, state, cfg)  # decides afresh and records
+    rows = dict(calls)
+    assert rows[1] == state.n_prefill and rows[3] <= 2
+    decided = 0
+    for tokens in ((5, 9, 14), (3,), (7,)):
+        for tok in tokens:
+            m.append_output(model, state, tok)
+        for st in (state, state.copy()):  # the record holds, then a fresh state
+            calls.clear()
+            _, keep, flags = sp.sparse_decode_no_cache(model, preds, st, cfg,
+                                                       return_decisions=True)
+            rows = dict(calls)
+            assert sorted(rows) == [0, 1, 2, 3] and len(calls) == 4
+            n, blocks = state.total, -(-state.total // 64)
+            assert rows[0] == n and rows[3] <= 2
+            if st is state:
+                read = (len(keep) + state.n_text + int(flags[:decided].sum())
+                        + state.n_output - decided)
+                assert read <= rows[1] <= read + blocks < n
+            else:
+                assert rows[1] == n
+        decided = state.n_output
+    calls.clear()
+    m.full_logits(model, state)
+    assert calls == [[li, state.total] for li in range(4)]
