@@ -26,9 +26,8 @@ predictor) bound every score by |q_i| max_j |k_j| and exponentiate a block
 whose bound stays within 64 without the row-max shift. Given ``rows``, it
 projects q, k and v for every row but runs attention and FFN only for
 those rows (at least 2 of any block it touches, see ``_block_rows``) and
-returns theirs alone: prefill and no-cache decoding compute the last layer
-for the newest row and, once a sequence's keep decisions are recorded, the
-layer below the sparsify layer for the survivors and the undecided outputs.
+returns theirs alone; ``sparsify._sparse_forward`` says which rows prefill
+and no-cache decoding ask for.
 
 Positions are always the ORIGINAL positions assigned at embedding time, so
 removing tokens later never renumbers the survivors.
@@ -156,15 +155,10 @@ class SequenceState:
     Original positions are 0..N-1 in concatenation order (image, text,
     output) and are never reassigned.
 
-    ``decisions`` is owned by ``sparsify``: the keep decisions its last
-    forward over this state made (the kept image indices and one flag per
-    output token), so that the next forward of the same generation decides
-    only the outputs appended since. A forward reuses the record only if
-    the model and predictors are the same objects, the sparsity config is
-    equal, ``image`` and ``text`` are the same arrays, and the decided
-    output rows are unchanged; otherwise it decides afresh. Weights are
-    assumed not to change in place between the forwards of one generation.
-    The record takes no part in equality and ``copy`` leaves it behind.
+    ``decisions`` belongs to ``sparsify``: the keep decisions its forwards
+    over this state made, which a later forward reuses while
+    ``sparsify._Decisions.holds_for`` says they still apply. The record
+    takes no part in equality and ``copy`` leaves it behind.
     """
 
     image: np.ndarray   # (n_image, d)
@@ -695,8 +689,9 @@ def stop_reason(model: Model, token: int, position: int):
 
 def greedy_generate(model: Model, state: SequenceState, max_new_tokens: int,
                     mode: str = "with_cache") -> list:
-    """Greedy decoding loop; stops at EOS, after max_new_tokens, or after
-    the token that has no position left below max_seq_len.
+    """Greedy decoding loop from a prompt-only state; stops at EOS, after
+    max_new_tokens, or after the token that has no position left below
+    max_seq_len.
 
     ``mode`` selects the no-cache or cached path; both produce identical
     token lists for the same model and state.

@@ -178,14 +178,18 @@ def decisions_to_mask(decisions: np.ndarray) -> np.ndarray:
     return (kernels.argmax_lastdim(decisions) == 1).astype(np.int64)
 
 
+def _keep_count(n: int, keep_rate: float) -> int:
+    """How many of ``n`` tokens a keep rate keeps: floor(keep_rate * n),
+    but at least one of a non-empty set."""
+    return min(n, max(1, int(np.floor(keep_rate * n))))
+
+
 def select_topk_keep(decisions: np.ndarray, keep_rate: float) -> np.ndarray:
-    """Indices of the max(1, floor(keep_rate * n)) tokens with the highest
-    keep scores, sorted ascending; lower index wins ties. Like the random
-    and structure policies, a non-empty set keeps at least one token; an
-    empty one gives no indices."""
+    """Indices of the ``_keep_count`` tokens with the highest keep scores,
+    sorted ascending; lower index wins ties. Like the random and structure
+    policies, a non-empty set keeps at least one token; an empty one gives
+    no indices."""
     decisions = np.asarray(decisions, dtype=np.float64)
     if not 0.0 < keep_rate <= 1.0:
         raise ContractViolation(f"keep_rate must be in (0, 1], got {keep_rate}")
-    n = decisions.shape[0]
-    k = min(n, max(1, int(np.floor(keep_rate * n))))
-    return kernels.topk_argmax(decisions[:, 1], k)
+    return kernels.topk_argmax(decisions[:, 1], _keep_count(decisions.shape[0], keep_rate))

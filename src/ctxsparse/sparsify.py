@@ -252,7 +252,8 @@ class _Decisions:
     """A lane's record on ``SequenceState.decisions``: its kept image
     indices and the flags of its first ``len(output)`` outputs, with what
     they were decided from. The two decision arrays are read-only, since
-    forwards hand them to callers."""
+    forwards hand them to callers. Weights are assumed not to change in
+    place between the forwards of one generation."""
     model: Model
     predictors: Predictors
     cfg: SparsityConfig      # a copy: a later edit of the caller's is seen
@@ -276,16 +277,16 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 
 def _decide(model: Model, predictors: Predictors, state: SequenceState,
-            rows: np.ndarray, cfg: SparsityConfig, outputs: bool):
+            rec, rows: np.ndarray, cfg: SparsityConfig, outputs: bool):
     """The state's kept image indices and, when ``outputs``, its output
-    flags (None without output rows), given its layer-l ``rows``.
+    flags (None without output rows), given ``rec``, the state's record if
+    it holds for this forward or else None, and its layer-l ``rows``.
 
-    The decisions on the state's record are reused while it holds, so only
-    the outputs appended since are decided; otherwise the state is decided
-    afresh. Either way the record then covers what was returned.
+    Only what the record lacks is decided: without a record every image
+    token, and then every output not yet decided, which are the last rows.
+    The state's record then covers what was returned.
     """
-    rec = state.decisions
-    if rec is None or not rec.holds_for(model, predictors, state, cfg):
+    if rec is None:
         keep = select_image_keep(predictors, rows[:state.n_image], cfg)
         rec = state.decisions = _Decisions(
             model, predictors, replace(cfg), state.image, state.text,
@@ -294,7 +295,7 @@ def _decide(model: Model, predictors: Predictors, state: SequenceState,
     if not outputs or not state.n_output:
         return rec.image_keep, None
     k = rec.output.shape[0]
-    if k < state.n_output:  # the undecided outputs are the last rows
+    if k < state.n_output:
         new = _output_flags(predictors, rows[len(rows) - (state.n_output - k):], cfg,
                             first_index=k)
         rec.output_flags = _read_only(np.concatenate([rec.output_flags, new]))
@@ -305,33 +306,17 @@ def _decide(model: Model, predictors: Predictors, state: SequenceState,
 def _survivors(state: SequenceState, image_keep: np.ndarray, out_flags=None):
     """Original positions of the tokens that layers l, l + 1, ... see: the
     kept image tokens, every text token and, given output flags, the kept
-    outputs and always the newest one, which generates the next token."""
+    outputs, the outputs past the flags (not decided yet) and always the
+    newest one, which generates the next token."""
     parts = [image_keep, np.arange(state.n_image, state.n_prefill)]
     if out_flags is not None:
-        kept = out_flags.copy()
-        kept[-1] = 1
-        parts.append(state.n_prefill + np.flatnonzero(kept))
+        decided = out_flags[:state.n_output - 1]
+        parts += [state.n_prefill + np.flatnonzero(decided),
+                  np.arange(state.n_prefill + len(decided), state.total)]
     return np.concatenate(parts).astype(int)
 
 
 # -- the one forward for prefill and no-cache decoding ---------------------------
-
-
-def _read_at_split(model: Model, predictors: Predictors, state: SequenceState,
-                   cfg: SparsityConfig, outputs: bool):
-    """Original positions of the rows that layer l reads of layer l - 1's
-    output, or None for every row: with a record that holds, its survivors
-    plus the outputs it has not decided yet (the newest among them), whose
-    layer-l rows the output predictor reads; otherwise every row, since
-    deciding afresh runs the image predictor over all image rows."""
-    rec = state.decisions
-    if rec is None or not rec.holds_for(model, predictors, state, cfg):
-        return None
-    flags = None
-    if outputs and state.n_output:
-        flags = np.ones(state.n_output, dtype=np.int64)
-        flags[:len(rec.output_flags)] = rec.output_flags
-    return _survivors(state, rec.image_keep, flags)
 
 
 def _sparse_forward(model: Model, predictors: Predictors, state: SequenceState,
@@ -347,10 +332,12 @@ def _sparse_forward(model: Model, predictors: Predictors, state: SequenceState,
     layers l, l + 1, .... Given a ``cache``, every layer's K/V rows are
     written into it at their original positions.
 
-    Layer l - 1 computes only the rows ``_read_at_split`` names, and the
-    last layer only the newest row unless ``every_row``. Returns the final
-    rows (every survivor when ``every_row``, else the newest alone), the
-    kept image indices, and the output flags (None without output rows).
+    The record is looked up once. While it holds, layer l - 1 computes only
+    the rows layer l reads: its survivors and the outputs it has not decided
+    yet (deciding afresh reads every row). The last layer computes only the
+    newest row unless ``every_row``. Returns the final rows (every survivor
+    when ``every_row``, else the newest alone), the kept image indices, and
+    the output flags (None without output rows).
     A state without image or text rows is refused.
     """
     if state.n_prefill == 0:
@@ -358,16 +345,20 @@ def _sparse_forward(model: Model, predictors: Predictors, state: SequenceState,
     x = state.all_tokens() if outputs else state.prefill_tokens()
     positions = np.arange(x.shape[0])  # each row's original position
     split, last = cfg.sparsify_layer, len(model.layers) - 1
-    read = _read_at_split(model, predictors, state, cfg, outputs) if split else None
+    rec = state.decisions
+    if rec is not None and not rec.holds_for(model, predictors, state, cfg):
+        rec = None
     for li, layer in enumerate(model.layers):
         if li == split:
-            keep, flags = _decide(model, predictors, state, x, cfg, outputs)
+            keep, flags = _decide(model, predictors, state, rec, x, cfg, outputs)
             survivors = _survivors(state, keep, flags)
             x = x[np.searchsorted(positions, survivors)]
             positions = survivors
         if li in (0, split):
             mask = np.tri(len(x), dtype=bool)  # causal; 1/8 of causal_mask's bytes
-        rows = read if li == split - 1 else None
+        rows = None
+        if li == split - 1 and rec is not None:
+            rows = _survivors(state, rec.image_keep, rec.output_flags if outputs else None)
         if li == last and not every_row:
             rows = np.array([len(x) - 1])
         x, k, v = layer_forward(layer, x, mask, model.config.num_heads, meter=meter,
@@ -478,9 +469,12 @@ def sparse_greedy_generate(model: Model, predictors: Predictors,
                            max_new_tokens: int, mode: str = "with_cache"):
     """Greedy generation under sparsified inference; returns a trace.
 
-    Both modes produce identical token sequences for the same weights; the
-    no-cache trace reports the per-token keep decisions, each made once as
-    its token is fed, that the cached mode records as admissions.
+    Generation starts from a prompt-only state: the first generated token
+    takes position ``n_prefill``, so a state that already holds outputs is
+    refused before any layer runs. Both modes produce identical token
+    sequences for the same weights; the no-cache trace reports the
+    per-token keep decisions, each made once as its token is fed, that the
+    cached mode records as admissions.
     Generation stops at EOS, after max_new_tokens, or after the token that
     has no position left below max_seq_len; the trace's ``stop_reason``
     says which.
@@ -491,6 +485,9 @@ def sparse_greedy_generate(model: Model, predictors: Predictors,
         raise ContractViolation(f"max_new_tokens must be an integer >= 0, "
                                 f"got {max_new_tokens!r}")
     _validate(model, predictors, cfg)
+    if state.n_output:
+        raise ContractViolation(f"generation starts from a prompt-only state, "
+                                f"got one with {state.n_output} outputs")
     trace = GenerationTrace(mode=mode, n_image=state.n_image, n_text=state.n_text)
     if max_new_tokens == 0:
         return trace

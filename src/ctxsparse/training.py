@@ -31,9 +31,9 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import ContractViolation
-from .model import (Model, _is_int, _is_real, _logits_at, append_output, causal_mask,
-                    embed_inputs, layer_forward)
-from .predictors import Predictors, image_decisions, output_decisions
+from .model import (Model, _is_int, _is_real, _logits_at, _token_ids, append_output,
+                    causal_mask, embed_inputs, layer_forward)
+from .predictors import Predictors, _keep_count, image_decisions, output_decisions
 from .sparsify import SparsityConfig, _cached_logits
 
 
@@ -350,12 +350,12 @@ def make_optimizer(model: Model, predictors: Predictors, cfg: TrainConfig):
 
 def _random_control_masks(rng, bsz, n_img, n_out, sparsity: SparsityConfig):
     """Fresh exact-count random keep flags for the frozen-predictor control:
-    ``max(1, floor(rate * n))`` of each non-empty segment, the count
-    ``select_topk_keep`` keeps at inference."""
+    ``_keep_count`` of each non-empty segment, the count ``select_topk_keep``
+    keeps at inference."""
     m_img = np.zeros((bsz, n_img))
     m_out = np.zeros((bsz, n_out))
-    k_img = min(n_img, max(1, int(np.floor(sparsity.image_keep_rate * n_img))))
-    k_out = min(n_out, max(1, int(np.floor(sparsity.output_keep_rate * n_out))))
+    k_img = _keep_count(n_img, sparsity.image_keep_rate)
+    k_out = _keep_count(n_out, sparsity.output_keep_rate)
     for b in range(bsz):
         if n_img:
             m_img[b, rng.choice(n_img, size=k_img, replace=False)] = 1.0
@@ -428,19 +428,20 @@ def evaluate_policy_loss(model: Model, predictors: Predictors, samples,
     against the logits produced before it is consumed. This is the same
     next-token loss the paper's static baselines are compared on, with the
     active policy deciding which tokens survive. Every sample needs at
-    least one output token.
+    least one output token, and every output id of every sample is checked
+    as a token id before any sample runs.
     """
     samples = list(samples)
     if not samples or any(len(sample.output_ids) == 0 for sample in samples):
         raise ContractViolation(
             "evaluate_policy_loss needs samples, each with an output token")
+    targets = [_token_ids(sample.output_ids, model.config.vocab_size) for sample in samples]
     total, count = 0.0, 0
-    for sample in samples:
+    for sample, ids in zip(samples, targets):
         state = embed_inputs(model, sample.image_feats, sample.text_ids)
-        for target in sample.output_ids[:-1]:
+        for target in ids[:-1]:
             append_output(model, state, int(target))
-        for logits, target in zip(_cached_logits(model, predictors, state, sparsity),
-                                  sample.output_ids):
+        for logits, target in zip(_cached_logits(model, predictors, state, sparsity), ids):
             shifted = logits - logits.max()
             log_z = np.log(np.exp(shifted).sum())
             total += float(log_z - shifted[target])

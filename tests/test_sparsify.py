@@ -785,7 +785,24 @@ def test_sparse_greedy_generate_rejects_negative_max_new_tokens():
             m.greedy_generate(model, state, -3, mode=mode)
 
 
-SMALL = m.ModelConfig(num_layers=3, hidden_dim=32, num_heads=4, ffn_dim=64,
+def test_generation_refuses_a_state_that_already_holds_outputs(monkeypatch):
+    """Generation numbers its tokens from ``n_prefill``, so a state with
+    outputs is refused in both modes before any cache is built."""
+    model, preds, state = setup(26)
+    for token in (11, 23, 5):
+        m.append_output(model, state, token)
+    built = []
+    monkeypatch.setattr(sp, "KVCacheStore", lambda *a: built.append(a))
+    for mode in ("no_cache", "with_cache"):
+        for n in (0, 3):
+            with pytest.raises(ContractViolation, match="prompt-only"):
+                sp.sparse_greedy_generate(model, preds, state, scfg(), n, mode=mode)
+            with pytest.raises(ContractViolation, match="prompt-only"):
+                m.greedy_generate(model, state, n, mode=mode)
+    assert built == [] and state.n_output == 3
+
+
+SMALL =m.ModelConfig(num_layers=3, hidden_dim=32, num_heads=4, ffn_dim=64,
                       vocab_size=48, max_seq_len=64, image_feature_dim=16)
 
 

@@ -256,6 +256,29 @@ def test_evaluate_policy_loss_rejects_a_sample_without_outputs():
         tr.evaluate_policy_loss(model, preds, samples, sp.SparsityConfig(sparsify_layer=1))
 
 
+@pytest.mark.parametrize("last_id", [-1, "vocab_size", 2.5, 2.0])
+def test_evaluate_policy_loss_checks_every_output_id(monkeypatch, last_id):
+    """The last target is only scored, never fed, but it is checked as a
+    token id like the others, for every sample before any runs. An
+    integral float is that id."""
+    task, model, preds, _ = keyed_lookup_setup()
+    sparsity = sp.SparsityConfig(sparsify_layer=1)
+    samples = task.eval_samples(np.random.default_rng(56), 2)
+    ids = samples[1].output_ids.astype(np.float64)
+    ids[-1] = model.config.vocab_size if last_id == "vocab_size" else last_id
+    bad = samples[:1] + [tasks.Sample(samples[1].image_feats, samples[1].text_ids, ids)]
+    if last_id == 2.0:
+        want = replace(samples[1], output_ids=ids.astype(np.int64))
+        assert (tr.evaluate_policy_loss(model, preds, bad, sparsity)
+                == tr.evaluate_policy_loss(model, preds, samples[:1] + [want], sparsity))
+        return
+    ran = []
+    monkeypatch.setattr(tr, "_cached_logits", lambda *a: ran.append(a))
+    with pytest.raises(ContractViolation, match="token id"):
+        tr.evaluate_policy_loss(model, preds, bad, sparsity)
+    assert ran == []
+
+
 def test_random_control_keeps_one_token_of_each_non_empty_segment():
     rates = sp.SparsityConfig(image_keep_rate=0.2, output_keep_rate=0.5)
     rng = np.random.default_rng(55)
