@@ -33,7 +33,7 @@ def _hidden(x: np.ndarray, g) -> np.ndarray:
         raise ContractViolation(
             f"mask of shape {np.shape(g)} does not broadcast to scores {x.shape}")
     if x.shape[-1] == 0 or hidden.all(axis=-1).any():
-        raise ContractViolation("masked_softmax: a mask row is all zeros")
+        raise ContractViolation("a mask row is all zeros")
     return hidden
 
 

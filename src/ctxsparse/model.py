@@ -12,22 +12,12 @@ separate dense path would. Prefill and no-cache decoding, dense or sparse,
 are one layer loop in ``sparsify`` over one sequence's rows; a batch runs
 its lanes one after another.
 One layer implementation, ``layer_forward``, serves every mode: prefill and
-no-cache decode run it over one sequence's (N, d) rows, cached decode
-over one new row with a ``KVCacheStore.slot`` as ``past_kv`` (the row's
-K/V are written into the store's spare capacity and attended in place, so
-a step copies no cached row), the image predictor's blocks over whole
-token sets with no mask, and training over ``autodiff.Tensor`` rows with
-the masked-attention training mask. It runs in blocks of query rows and
-skips the key columns the mask hides from a whole block, such as the upper
-triangle of a causal mask. It normalizes late, dividing ``exp_scores @ v``
-by the row sums that ``kernels.exp_rows`` returns. Calls over more than one
-block of array rows (prefill and no-cache layers past 64 rows, the image
-predictor) bound every score by |q_i| max_j |k_j| and exponentiate a block
-whose bound stays within 64 without the row-max shift. Given ``rows``, it
-projects q, k and v for every row but runs attention and FFN only for
-those rows (at least 2 of any block it touches, see ``_block_rows``) and
-returns theirs alone; ``sparsify._sparse_forward`` says which rows prefill
-and no-cache decoding ask for.
+no-cache decoding over one sequence's (N, d) rows, cached decoding over one
+new row written in place into a ``KVCacheStore.slot``, the image
+predictor's blocks, and training over ``autodiff.Tensor`` rows. Its
+docstring says how it blocks, masks and normalizes;
+``sparsify._sparse_forward`` says which rows prefill and no-cache decoding
+ask of it.
 
 Positions are always the ORIGINAL positions assigned at embedding time, so
 removing tokens later never renumbers the survivors.
@@ -37,7 +27,7 @@ from __future__ import annotations
 
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -74,11 +64,10 @@ class ModelConfig:
     image_feature_dim: int = 64
 
     def validate(self):
-        for name in ("num_layers", "hidden_dim", "num_heads", "ffn_dim",
-                     "vocab_size", "max_seq_len", "image_feature_dim"):
-            value = getattr(self, name)
+        for f in fields(self):
+            value = getattr(self, f.name)
             if not (_is_int(value) and value >= 1):
-                raise ContractViolation(f"ModelConfig.{name} must be an integer >= 1, "
+                raise ContractViolation(f"ModelConfig.{f.name} must be an integer >= 1, "
                                         f"got {value!r}")
         if self.hidden_dim % self.num_heads != 0:
             raise ContractViolation("hidden_dim must be divisible by num_heads")
@@ -96,6 +85,23 @@ class LayerWeights:
     attn_norm_gain: np.ndarray
     ffn_norm_gain: np.ndarray
 
+    @staticmethod
+    def draw(rng: np.random.Generator, d: int, f: int, out_scale: float,
+             ffn_out_scale: float) -> "LayerWeights":
+        """A layer of width ``d`` and FFN width ``f``: q, k, v and FFN-in
+        drawn at std ``d ** -0.5``, the two residual outputs at the given
+        stds, in field order, and unit norm gains."""
+        return LayerWeights(
+            w_q=rng.normal(0.0, d ** -0.5, (d, d)),
+            w_k=rng.normal(0.0, d ** -0.5, (d, d)),
+            w_v=rng.normal(0.0, d ** -0.5, (d, d)),
+            w_o=rng.normal(0.0, out_scale, (d, d)),
+            ffn_in=rng.normal(0.0, d ** -0.5, (d, f)),
+            ffn_out=rng.normal(0.0, ffn_out_scale, (f, d)),
+            attn_norm_gain=np.ones(d),
+            ffn_norm_gain=np.ones(d),
+        )
+
 
 class Model:
     """Immutable-after-construction weight container plus its config."""
@@ -105,39 +111,23 @@ class Model:
         self.config = config
         d, f = config.hidden_dim, config.ffn_dim
         proj_scale = d ** -0.5
-        out_scale = proj_scale / np.sqrt(2.0 * config.num_layers)
+        depth = np.sqrt(2.0 * config.num_layers)
         self.token_emb = rng.normal(0.0, 0.02, (config.vocab_size, d))
         self.pos_emb = rng.normal(0.0, 0.02, (config.max_seq_len, d))
         self.image_proj = rng.normal(0.0, config.image_feature_dim ** -0.5,
                                      (config.image_feature_dim, d))
-        self.layers = []
-        for _ in range(config.num_layers):
-            self.layers.append(LayerWeights(
-                w_q=rng.normal(0.0, proj_scale, (d, d)),
-                w_k=rng.normal(0.0, proj_scale, (d, d)),
-                w_v=rng.normal(0.0, proj_scale, (d, d)),
-                w_o=rng.normal(0.0, out_scale, (d, d)),
-                ffn_in=rng.normal(0.0, proj_scale, (d, f)),
-                ffn_out=rng.normal(0.0, f ** -0.5 / np.sqrt(2.0 * config.num_layers), (f, d)),
-                attn_norm_gain=np.ones(d),
-                ffn_norm_gain=np.ones(d),
-            ))
+        self.layers = [LayerWeights.draw(rng, d, f, proj_scale / depth, f ** -0.5 / depth)
+                       for _ in range(config.num_layers)]
         self.final_norm_gain = np.ones(d)
         self.lm_head = rng.normal(0.0, proj_scale, (d, config.vocab_size))
 
     def parameters(self) -> dict:
-        """Flat name -> array mapping; arrays are the live weights."""
-        params = {
-            "token_emb": self.token_emb,
-            "pos_emb": self.pos_emb,
-            "image_proj": self.image_proj,
-            "final_norm_gain": self.final_norm_gain,
-            "lm_head": self.lm_head,
-        }
+        """Flat name -> array mapping; arrays are the live weights: the
+        model's own, in the order ``__init__`` sets them, then each layer's."""
+        params = {name: a for name, a in vars(self).items() if isinstance(a, np.ndarray)}
         for i, layer in enumerate(self.layers):
-            for name in ("w_q", "w_k", "w_v", "w_o", "ffn_in", "ffn_out",
-                         "attn_norm_gain", "ffn_norm_gain"):
-                params[f"layers.{i}.{name}"] = getattr(layer, name)
+            for name, arr in vars(layer).items():
+                params[f"layers.{i}.{name}"] = arr
         return params
 
     def param_count(self) -> int:
@@ -397,6 +387,16 @@ def _block_rows(rows: np.ndarray, block: slice, block_mask):
     return run, picked, block_mask
 
 
+def _check_rows(rows, n: int, tape: bool):
+    """Raise unless ``rows`` is a non-empty 1-D integer ndarray, strictly
+    increasing inside [0, n), asked of array rows (not of the tape)."""
+    if tape or not (isinstance(rows, np.ndarray) and rows.ndim == 1 and rows.size
+                    and rows.dtype.kind in "iu" and 0 <= rows[0] and rows[-1] < n
+                    and (rows[1:] > rows[:-1]).all()):
+        raise ContractViolation(f"layer_forward: rows must be a strictly increasing "
+                                f"integer array inside [0, {n}), not on the tape")
+
+
 def layer_forward(layer: LayerWeights, x: np.ndarray, mask, num_heads: int,
                   past_kv=None, meter=None, rows=None):
     """One pre-norm decoder layer: multi-head attention then FFN, both
@@ -418,8 +418,9 @@ def layer_forward(layer: LayerWeights, x: np.ndarray, mask, num_heads: int,
     means every key is visible. Returns the output, shaped like ``x``, and
     the rows' own (k, v) projections for the cache.
 
-    ``rows``, an ascending index array over the n rows (arrays only, not
-    the tape), asks for the output of those rows alone: q, k and v are still
+    ``rows``, a strictly increasing integer array inside [0, n) (arrays
+    only, not the tape; ``_check_rows`` refuses anything else), asks for
+    the output of those rows alone: q, k and v are still
     projected for all n rows, so the asked rows see the same keys, and the
     output has one row per asked row. Each block's key range, mask and
     shift choice are those of the whole block; only the asked rows of a
@@ -455,6 +456,8 @@ def layer_forward(layer: LayerWeights, x: np.ndarray, mask, num_heads: int,
     ``autodiff.exp_rows_lastdim`` in place of the kernel.
     """
     tape = isinstance(x, ad.Tensor)
+    if rows is not None:
+        _check_rows(rows, x.shape[-2], tape)
     concat = ad.concat if tape else np.concatenate
     d = x.shape[-1]
     dh = d // num_heads
@@ -754,7 +757,7 @@ def load_checkpoint(path):
     non-finite weights, malformed or unknown config entries, wrong version)
     raises ``CheckpointError``.
     """
-    from .predictors import PredictorConfig, Predictors
+    from .predictors import PredictorConfig, make_predictors
 
     try:
         data = np.load(path)
@@ -779,9 +782,7 @@ def load_checkpoint(path):
             model = make_model(ModelConfig(**meta["model_config"]), seed=0)
             predictors = None
             if meta.get("has_predictors"):
-                predictors = Predictors(
-                    PredictorConfig(**meta["predictor_config"]),
-                    np.random.default_rng(0))
+                predictors = make_predictors(PredictorConfig(**meta["predictor_config"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise CheckpointError(f"checkpoint config is malformed: {exc!r}") from exc
         _load_arrays(data, "model", model.parameters())

@@ -68,18 +68,8 @@ class Predictors:
         d, h = config.input_dim, config.hidden
         self.image_proj = rng.normal(0.0, d ** -0.5, (d, h))
         self.image_proj_bias = np.zeros(h)
-        self.image_blocks = []
-        for _ in range(2):
-            self.image_blocks.append(LayerWeights(
-                w_q=rng.normal(0.0, h ** -0.5, (h, h)),
-                w_k=rng.normal(0.0, h ** -0.5, (h, h)),
-                w_v=rng.normal(0.0, h ** -0.5, (h, h)),
-                w_o=rng.normal(0.0, h ** -0.5, (h, h)),
-                ffn_in=rng.normal(0.0, h ** -0.5, (h, 2 * h)),
-                ffn_out=rng.normal(0.0, (2 * h) ** -0.5, (2 * h, h)),
-                attn_norm_gain=np.ones(h),
-                ffn_norm_gain=np.ones(h),
-            ))
+        self.image_blocks = [LayerWeights.draw(rng, h, 2 * h, h ** -0.5, (2 * h) ** -0.5)
+                             for _ in range(2)]
         self.image_mlp_w, self.image_mlp_b = _mlp_weights(rng, config.mlp_dims)
         self.output_proj = rng.normal(0.0, d ** -0.5, (d, h))
         self.output_proj_bias = np.zeros(h)

@@ -28,24 +28,16 @@ sequence may score a token ever so slightly differently.
 
 One forward per sequence: prefill and no-cache decoding, dense or sparse,
 run ``_sparse_forward``, one layer loop over one sequence's rows that
-decides at layer l and carries only the survivors on. Each layer projects
-k and v for all its input rows but runs attention and FFN only for the
-rows a later layer reads: the last layer only for the newest row (every
-row for ``model.full_logits``), and layer l - 1, when the state's record
-holds, only for the record's survivors and the outputs it has not decided
-yet; a forward that decides afresh runs every row there, since the image
-predictor reads them all. The values are those of running every row, bit
-for bit (``model.layer_forward`` says how). ``_forward`` is the
-checked call of it that this module's prefill, no-cache and generation
-entry points share. ``_cached_logits`` is the one teacher-forced loop over
-a cache: prefill, then each output row fed as one cached step. A batch
-runs its lanes one after another through the single-sequence calls, so
-each lane's values are exactly its own; on one numpy thread, lanes of
-mixed length also run sooner this way than left-padded in lockstep.
-Cached decoding runs one new row per step through ``attend_cached``: at
-each layer the row's K/V are written once, in place, into the free row of
-a ``KVCacheStore.slot``, the row attends over the slot's views, and
-admission is whether ``commit`` then advances that layer's length. No step
+decides at layer l, carries only the survivors on and computes only the
+rows a later layer reads, with the bits of running every row (its
+docstring says which rows). ``_forward`` is its checked call, shared by
+this module's entry points; ``_cached_logits`` is the one teacher-forced
+loop over a cache. A batch runs its lanes one after another through the
+single-sequence calls, so each lane's values are exactly its own; on one
+numpy thread, lanes of mixed length also run sooner this way than
+left-padded in lockstep. Cached decoding (``sparse_decode_with_cache``)
+writes each new row's K/V once, in place, into a ``KVCacheStore.slot``, and
+admission is whether ``commit`` then advances the layer's length; no step
 copies the cache.
 
 Dense inference is the case l = 0 with both keep rates at 1: nothing is
@@ -57,7 +49,7 @@ calls into this module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -156,44 +148,37 @@ class GenerationTrace:
     stop_reason: str = "max_new_tokens"  # or "eos", "max_seq_len"
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": 1,
-            "mode": self.mode,
-            "token_ids": list(self.token_ids),
-            "image_keep": [int(i) for i in self.image_keep],
-            "n_image": self.n_image,
-            "n_text": self.n_text,
-            "admissions": [
-                {"position": r.position, "admitted": bool(r.admitted), "step": r.step}
-                for r in self.admissions
-            ],
-            "stop_reason": self.stop_reason,
-        }
+        return {"schema_version": 1, **asdict(self)}
 
 
 # -- static baseline masks -----------------------------------------------------
 
 
+def _zero_flags(n: int) -> np.ndarray:
+    """``n`` zero keep flags; ``n`` must be an integer >= 0."""
+    if not (_is_int(n) and n >= 0):
+        raise ContractViolation(f"token count must be an integer >= 0, got {n!r}")
+    return np.zeros(n, dtype=np.int64)
+
+
 def random_policy_mask(n: int, keep_rate: float, seed: int) -> np.ndarray:
     """Seeded random keep flags: floor(keep_rate*n) ones, then the last flag
-    is forced to 1."""
-    flags = np.zeros(n, dtype=np.int64)
-    if n == 0:
-        return flags
+    is forced to 1. The keep rate must be a real number in (0, 1]."""
+    flags = _zero_flags(n)
+    if not (_is_real(keep_rate) and 0.0 < keep_rate <= 1.0):
+        raise ContractViolation(f"keep_rate must be a real number in (0, 1], "
+                                f"got {keep_rate!r}")
     k = int(np.floor(keep_rate * n))
-    idx = np.random.default_rng(seed).choice(n, size=k, replace=False)
-    flags[idx] = 1
-    flags[-1] = 1
+    flags[np.random.default_rng(seed).choice(n, size=k, replace=False)] = 1
+    flags[-1:] = 1
     return flags
 
 
 def structure_policy_mask(n: int) -> np.ndarray:
     """Alternating 1,0,1,0,... keep flags with the last flag forced to 1."""
-    flags = np.zeros(n, dtype=np.int64)
-    if n == 0:
-        return flags
+    flags = _zero_flags(n)
     flags[::2] = 1
-    flags[-1] = 1
+    flags[-1:] = 1
     return flags
 
 
@@ -319,9 +304,27 @@ def _survivors(state: SequenceState, image_keep: np.ndarray, out_flags=None):
 # -- the one forward for prefill and no-cache decoding ---------------------------
 
 
+def _check_state(model: Model, state: SequenceState, decode: bool):
+    """Refuse, from shapes alone, a state ``_sparse_forward`` cannot run:
+    rows that are not (n, hidden_dim) arrays, no image or text row, more
+    than max_seq_len rows or, when ``decode``, no output row."""
+    d = model.config.hidden_dim
+    for name in ("image", "text", "output"):
+        rows = getattr(state, name)
+        if not (isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.shape[1] == d):
+            raise ContractViolation(f"state {name} rows are not an (n, hidden_dim {d}) array")
+    if state.n_prefill == 0:
+        raise ContractViolation("empty state: no image or text rows")
+    if state.total > model.config.max_seq_len:
+        raise ContractViolation(f"state of {state.total} rows exceeds max_seq_len "
+                                f"{model.config.max_seq_len}")
+    if decode and state.n_output < 1:
+        raise ContractViolation("no-cache decoding needs >= 1 output token")
+
+
 def _sparse_forward(model: Model, predictors: Predictors, state: SequenceState,
                     cfg: SparsityConfig, outputs: bool, cache=None, meter=None,
-                    every_row: bool = False):
+                    every_row: bool = False, decode: bool = False):
     """Prefill (``outputs`` False) or no-cache decoding (``outputs`` True)
     of one sequence.
 
@@ -338,10 +341,10 @@ def _sparse_forward(model: Model, predictors: Predictors, state: SequenceState,
     newest row unless ``every_row``. Returns the final rows (every survivor
     when ``every_row``, else the newest alone), the kept image indices, and
     the output flags (None without output rows).
-    A state without image or text rows is refused.
+    Before any layer runs, ``_check_state`` refuses a state that does not
+    fit the model and, with ``decode``, one without output rows.
     """
-    if state.n_prefill == 0:
-        raise ContractViolation("empty state: no image or text rows")
+    _check_state(model, state, decode)
     x = state.all_tokens() if outputs else state.prefill_tokens()
     positions = np.arange(x.shape[0])  # each row's original position
     split, last = cfg.sparsify_layer, len(model.layers) - 1
@@ -375,11 +378,8 @@ def _forward(model: Model, predictors: Predictors, state: SequenceState,
     """Checked ``_sparse_forward``: the newest row's logits, the kept image
     indices and the output flags (None without output rows)."""
     _validate(model, predictors, cfg)
-    # a state without prompt rows is refused as empty by _sparse_forward
-    if outputs and state.n_prefill and state.n_output < 1:
-        raise ContractViolation("no-cache decoding needs >= 1 output token")
     x, keep, flags = _sparse_forward(model, predictors, state, cfg, outputs,
-                                     cache=cache, meter=meter)
+                                     cache=cache, meter=meter, decode=outputs)
     return _logits_at(model, x[-1]), keep, flags
 
 
@@ -549,6 +549,8 @@ class PaddedBatch:
     def __post_init__(self):
         if not self.states:
             raise ContractViolation("PaddedBatch: need at least one sample")
+        if not all(isinstance(st, SequenceState) for st in self.states):
+            raise ContractViolation("PaddedBatch: a sample is not a SequenceState")
 
 
 # No package caller: layer tests build (B, 1, N, N) masks with it.

@@ -301,6 +301,33 @@ def test_layer_forward_rows_get_the_bits_of_the_full_output():
                 assert np.array_equal(k2, k) and np.array_equal(v2, v)
 
 
+@pytest.mark.parametrize("n, rows", [
+    (130, np.array([5, 200])),   # past the end: one row came back
+    (130, np.array([100, 5])),   # descending: both came back, sorted
+    (10, np.array([50])),        # past a one-block call: a raw concatenate error
+    (130, np.array([5, 5])),
+    (130, np.array([-1, 5])),
+    (130, np.array([1.0, 5.0])),
+    (130, np.array([[1, 5]])),
+    (130, np.array([], dtype=np.int64)),
+    (130, [1, 5]),
+])
+def test_layer_forward_refuses_rows_outside_its_contract(n, rows):
+    layer = toy_model(17).layers[0]
+    x = np.random.default_rng(39).normal(size=(n, 64))
+    with pytest.raises(ContractViolation, match="rows"):
+        m.layer_forward(layer, x, m.causal_mask(n), 4, rows=rows)
+
+
+def test_layer_forward_refuses_rows_on_the_tape():
+    from ctxsparse import autodiff as ad
+    layer = toy_model(17).layers[0]
+    tape_layer = m.LayerWeights(**{k: ad.Tensor(a) for k, a in vars(layer).items()})
+    x = ad.Tensor(np.random.default_rng(40).normal(size=(5, 64)))
+    with pytest.raises(ContractViolation, match="tape"):
+        m.layer_forward(tape_layer, x, ad.Tensor(m.causal_mask(5)), 4, rows=np.array([4]))
+
+
 def test_blas_gives_a_row_subset_the_bits_of_the_full_product():
     """Canary for ``layer_forward``'s ``rows``: at the model's matmul
     shapes, an ascending subset of >= 2 rows of ``a`` gives exactly those

@@ -1,3 +1,6 @@
+import json
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -45,6 +48,22 @@ def test_structure_policy_mask_patterns():
     assert sp.structure_policy_mask(4).tolist() == [1, 0, 1, 1]
     assert sp.structure_policy_mask(1).tolist() == [1]
     assert sp.structure_policy_mask(0).tolist() == []
+
+
+@pytest.mark.parametrize("n, rate", [
+    (10, 0.0), (10, 1.5), (10, -0.5), (10, float("nan")), (10, "0.5"),
+    (-1, 0.5), (2.5, 0.5), (True, 0.5), ("3", 0.5),
+])
+def test_random_policy_mask_refuses_bad_counts_and_rates(n, rate):
+    with pytest.raises(ContractViolation, match="keep_rate|token count"):
+        sp.random_policy_mask(n, rate, seed=0)
+
+
+def test_static_masks_of_no_tokens_are_empty():
+    assert sp.random_policy_mask(0, 0.5, seed=3).tolist() == []
+    assert sp.structure_policy_mask(0).tolist() == []
+    with pytest.raises(ContractViolation, match="token count"):
+        sp.structure_policy_mask(-1)
 
 
 def test_sparsify_layer_range_includes_zero():
@@ -459,6 +478,18 @@ def test_trace_export_schema():
     assert all(set(r) == {"position", "admitted", "step"} for r in blob["admissions"])
 
 
+@pytest.mark.parametrize("mode", ["no_cache", "with_cache"])
+def test_trace_to_dict_survives_json_and_names_every_field(mode):
+    model, preds, state = setup(15)
+    blob = sp.sparse_greedy_generate(model, preds, state, scfg(), 6, mode).to_dict()
+    text = json.dumps(blob)
+    assert json.loads(text) == blob and json.dumps(json.loads(text)) == text
+    assert list(blob) == ["schema_version"] + [f.name for f in fields(sp.GenerationTrace)]
+    assert len(blob["admissions"]) == 5
+    assert all(list(r) == [f.name for f in fields(sp.AdmissionRecord)]
+               for r in blob["admissions"])
+
+
 # -- batch parity -----------------------------------------------------------------
 
 
@@ -630,6 +661,62 @@ def test_decoding_a_state_without_prompt_rows_is_refused_in_both_modes():
     for mode in ("no_cache", "with_cache"):
         with pytest.raises(ContractViolation, match="empty state"):
             sp.batch_sparse_decode(model, preds, sp.PaddedBatch([state]), scfg(), mode=mode)
+
+
+def no_layer_runs(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a layer ran")
+    monkeypatch.setattr(sp, "layer_forward", refuse)
+    monkeypatch.setattr(sp, "attend_cached", refuse)
+
+
+@pytest.mark.parametrize("name, rows", [
+    ("image", np.zeros((3, 32))), ("image", np.zeros(64)),
+    ("text", np.zeros((2, 1, 64))), ("text", [[0.0] * 64]),
+    ("output", np.zeros((1, 63))), ("output", np.zeros(64)),
+])
+def test_forwards_refuse_a_state_whose_rows_do_not_fit_the_model(monkeypatch, name, rows):
+    model, preds, state = setup(28)
+    for token in (5, 9):
+        m.append_output(model, state, token)
+    setattr(state, name, rows)
+    no_layer_runs(monkeypatch)
+    calls = [lambda: sp.sparse_prefill(model, preds, state, scfg()),
+             lambda: sp.sparse_decode_no_cache(model, preds, state, scfg()),
+             lambda: sp.batch_sparse_prefill(model, preds, sp.PaddedBatch([state]), scfg()),
+             lambda: m.full_logits(model, state),
+             lambda: m.decode_step_no_cache(model, state)]
+    for call in calls:
+        with pytest.raises(ContractViolation, match=f"state {name} rows"):
+            call()
+
+
+def test_forwards_refuse_a_state_longer_than_max_seq_len(monkeypatch):
+    short = m.make_model(m.ModelConfig(num_layers=2, hidden_dim=64, max_seq_len=64), seed=3)
+    rng = np.random.default_rng(29)
+    fits = m.SequenceState(rng.normal(size=(50, 64)), rng.normal(size=(14, 64)),
+                           np.zeros((0, 64)))
+    assert np.isfinite(m.prefill(short, fits)[0]).all()  # 64 rows run
+    long_prompt = m.SequenceState(rng.normal(size=(60, 64)), rng.normal(size=(12, 64)),
+                                  np.zeros((0, 64)))
+    long_outputs = m.SequenceState(fits.image, fits.text, rng.normal(size=(8, 64)),
+                                   list(range(1, 9)))
+    no_layer_runs(monkeypatch)
+    cfg = scfg(sparsify_layer=1, policy="structure")
+    for call, state in [(sp.sparse_prefill, long_prompt),
+                        (sp.sparse_decode_no_cache, long_outputs)]:
+        with pytest.raises(ContractViolation, match="72 rows exceeds max_seq_len 64"):
+            call(short, None, state, cfg)
+    for call in (m.full_logits, m.decode_step_no_cache):
+        with pytest.raises(ContractViolation, match="max_seq_len"):
+            call(short, long_outputs)
+
+
+@pytest.mark.parametrize("entry", [1, None, "state", (np.zeros((2, 64)),)])
+def test_padded_batch_refuses_an_entry_that_is_not_a_state(entry):
+    _, _, state = setup(30)
+    with pytest.raises(ContractViolation, match="not a SequenceState"):
+        sp.PaddedBatch([state, entry])
 
 
 def test_batch_with_text_only_lane_matches_single():
