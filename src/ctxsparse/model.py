@@ -122,9 +122,14 @@ class Model:
         self.lm_head = rng.normal(0.0, proj_scale, (d, config.vocab_size))
 
     def parameters(self) -> dict:
-        """Flat name -> array mapping; arrays are the live weights: the
-        model's own, in the order ``__init__`` sets them, then each layer's."""
-        params = {name: a for name, a in vars(self).items() if isinstance(a, np.ndarray)}
+        """Flat name -> array mapping; arrays are the live weights."""
+        params = {
+            "token_emb": self.token_emb,
+            "pos_emb": self.pos_emb,
+            "image_proj": self.image_proj,
+            "final_norm_gain": self.final_norm_gain,
+            "lm_head": self.lm_head,
+        }
         for i, layer in enumerate(self.layers):
             for name, arr in vars(layer).items():
                 params[f"layers.{i}.{name}"] = arr

@@ -42,12 +42,15 @@ def test_random_policy_mask_counts_and_reproducibility():
     # exactly 5 ones before the forced-keep adjustment; forcing can add one
     assert mask.sum() in (5, 6) and mask[-1] == 1
     assert sp.random_policy_mask(6, 1.0, seed=0).tolist() == [1] * 6
+    assert sp.random_policy_mask(0, 0.5, seed=3).tolist() == []
 
 
 def test_structure_policy_mask_patterns():
     assert sp.structure_policy_mask(4).tolist() == [1, 0, 1, 1]
     assert sp.structure_policy_mask(1).tolist() == [1]
     assert sp.structure_policy_mask(0).tolist() == []
+    with pytest.raises(ContractViolation, match="token count"):
+        sp.structure_policy_mask(-1)
 
 
 @pytest.mark.parametrize("n, rate", [
@@ -57,13 +60,6 @@ def test_structure_policy_mask_patterns():
 def test_random_policy_mask_refuses_bad_counts_and_rates(n, rate):
     with pytest.raises(ContractViolation, match="keep_rate|token count"):
         sp.random_policy_mask(n, rate, seed=0)
-
-
-def test_static_masks_of_no_tokens_are_empty():
-    assert sp.random_policy_mask(0, 0.5, seed=3).tolist() == []
-    assert sp.structure_policy_mask(0).tolist() == []
-    with pytest.raises(ContractViolation, match="token count"):
-        sp.structure_policy_mask(-1)
 
 
 def test_sparsify_layer_range_includes_zero():

@@ -96,6 +96,17 @@ def test_sgd_momentum_steps():
         assert np.array_equal(arr, before[name])
 
 
+def test_tape_copies_name_every_leaf_in_parameters():
+    model = m.make_model(CFG)
+    preds = make_predictors(PredictorConfig(input_dim=CFG.hidden_dim))
+    leaves, tape_model, tape_preds = tr._tape_copies(model, preds)
+    for orig, copy in ((model, tape_model), (preds, tape_preds)):
+        params = copy.parameters()
+        assert list(params) == list(orig.parameters())
+        assert all(isinstance(t, ad.Tensor) for t in params.values())
+    assert len(leaves) == len(model.parameters()) + len(preds.parameters())
+
+
 def test_training_forward_gradcheck_past_one_query_block():
     # 60 image + 4 text + 6 output rows: layer_forward runs two query
     # blocks, joins them with ad.concat and slices the Tensor mask per block
