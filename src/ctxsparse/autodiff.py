@@ -114,18 +114,12 @@ class Tensor:
     def __sub__(self, other):
         return self + (-_wrap(other))
 
-    def __rsub__(self, other):
-        return _wrap(other) + (-self)
-
     def __truediv__(self, other):
         if isinstance(other, (int, float, np.number)):
             # a true division, as ndarray.mean does: x * (1 / n) differs
             # from x / n in the last bit unless n is a power of two
             return Tensor(self.data / other, ((self, lambda g: g / other),))
         return self * _wrap(other) ** -1.0
-
-    def __rtruediv__(self, other):
-        return _wrap(other) * self ** -1.0
 
     def __pow__(self, exponent: float):
         out_data = self.data ** exponent

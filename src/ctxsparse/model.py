@@ -65,12 +65,10 @@ class ModelConfig:
 
     def validate(self):
         for f in fields(self):
-            value = getattr(self, f.name)
-            if not (_is_int(value) and value >= 1):
-                raise ContractViolation(f"ModelConfig.{f.name} must be an integer >= 1, "
-                                        f"got {value!r}")
+            _check_int(f"ModelConfig.{f.name}", getattr(self, f.name), 1)
         if self.hidden_dim % self.num_heads != 0:
-            raise ContractViolation("hidden_dim must be divisible by num_heads")
+            raise ContractViolation(f"ModelConfig.hidden_dim {self.hidden_dim} is not "
+                                    f"divisible by ModelConfig.num_heads {self.num_heads}")
         return self
 
 
@@ -224,12 +222,11 @@ class KVCacheStore:
         self.num_layers = num_layers
         self._k = [None] * num_layers
         self._v = [None] * num_layers
-        self._n = [0] * num_layers
         self.positions = [[] for _ in range(num_layers)]
 
     def _ensure_capacity(self, layer: int, dim: int, rows: int):
         """Make room for ``rows`` more rows, doubling from 16 as needed."""
-        n = self._n[layer]
+        n = self.length(layer)
         cap = 0 if self._k[layer] is None else self._k[layer].shape[0]
         if n + rows <= cap:
             return
@@ -259,7 +256,7 @@ class KVCacheStore:
                 f"cache block width {width} != layer width "
                 f"{self._k[layer].shape[1]}")
         self._ensure_capacity(layer, width, rows)
-        end = self._n[layer] + rows
+        end = self.length(layer) + rows
         return KVSlot((self._k[layer][:end], self._v[layer][:end]))
 
     def commit(self, layer: int, positions: list):
@@ -272,12 +269,11 @@ class KVCacheStore:
             raise ContractViolation(
                 f"cache block positions at layer {layer} are not increasing")
         self.check_position(layer, positions[0])
-        n = self._n[layer] + len(positions)
+        n = self.length(layer) + len(positions)
         if self._k[layer] is None or n > self._k[layer].shape[0]:
             raise ContractViolation(
                 f"cache commit of {len(positions)} rows at layer {layer} "
                 f"exceeds its slot")
-        self._n[layer] = n
         self.positions[layer].extend(positions)
 
     def append(self, layer: int, k: np.ndarray, v: np.ndarray, position: int):
@@ -303,16 +299,16 @@ class KVCacheStore:
         self.commit(layer, positions.tolist())
 
     def length(self, layer: int) -> int:
-        return self._n[layer]
+        return len(self.positions[layer])
 
     def lengths(self) -> list:
-        return list(self._n)
+        return [len(pos) for pos in self.positions]
 
     def stacked(self, layer: int):
         """Views over the layer's committed K and V rows."""
         if self._k[layer] is None:
             raise ContractViolation(f"cache layer {layer} has never been written")
-        n = self._n[layer]
+        n = self.length(layer)
         return self._k[layer][:n], self._v[layer][:n]
 
 
@@ -554,11 +550,30 @@ def _is_real(value) -> bool:
         and not isinstance(value, bool)
 
 
+def _check_int(name: str, value, low: int, high: int = None):
+    """Raise unless ``value`` is an integer (``_is_int``) >= ``low`` and,
+    given ``high``, below it."""
+    if not (_is_int(value) and low <= value and (high is None or value < high)):
+        bounds = f">= {low}" if high is None else f"in [{low}, {high})"
+        raise ContractViolation(f"{name} must be an integer {bounds}, got {value!r}")
+
+
+def _check_rate(name: str, value):
+    """Raise unless ``value`` is a keep rate: a real number (``_is_real``)
+    above 0 and at most 1."""
+    if not (_is_real(value) and 0.0 < value <= 1.0):
+        raise ContractViolation(f"{name} must be a real number in (0, 1], got {value!r}")
+
+
+def _check_choice(name: str, value, choices):
+    """Raise unless ``value`` is one of the strings ``choices``."""
+    if not (isinstance(value, str) and value in choices):
+        raise ContractViolation(f"unknown {name} {value!r}, not one of {choices}")
+
+
 def _check_position(model: Model, position):
     """Raise unless ``position`` is an integer in [0, max_seq_len)."""
-    if not (_is_int(position) and 0 <= position < model.config.max_seq_len):
-        raise ContractViolation(f"position {position!r} is not an integer in "
-                                f"[0, max_seq_len {model.config.max_seq_len})")
+    _check_int("position (below max_seq_len)", position, 0, model.config.max_seq_len)
 
 
 def _token_ids(ids, vocab_size: int) -> np.ndarray:

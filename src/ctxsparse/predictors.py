@@ -20,7 +20,7 @@ import numpy as np
 from . import kernels
 from .autodiff import silu
 from .errors import ContractViolation
-from .model import LayerWeights, _is_int, _is_real, layer_forward
+from .model import LayerWeights, _check_int, _check_rate, _is_real, layer_forward
 
 
 @dataclass
@@ -32,19 +32,16 @@ class PredictorConfig:
 
     def __post_init__(self):
         for name, low in (("input_dim", 1), ("hidden", 0), ("num_heads", 1)):
-            value = getattr(self, name)
-            if not (_is_int(value) and value >= low):
-                raise ContractViolation(f"PredictorConfig.{name} must be an integer "
-                                        f">= {low}, got {value!r}")
+            _check_int(f"PredictorConfig.{name}", getattr(self, name), low)
         if not (_is_real(self.keep_bias_init) and np.isfinite(self.keep_bias_init)):
             raise ContractViolation(f"PredictorConfig.keep_bias_init must be a finite "
                                     f"real number, got {self.keep_bias_init!r}")
         if self.hidden == 0:
             self.hidden = max(self.input_dim // 8, self.num_heads)
+        _check_int("PredictorConfig.hidden", self.hidden, 4)
         if self.hidden % self.num_heads != 0:
-            raise ContractViolation("predictor hidden must divide num_heads")
-        if self.hidden < 4:
-            raise ContractViolation("predictor hidden must be >= 4")
+            raise ContractViolation(f"PredictorConfig.hidden {self.hidden} is not "
+                                    f"divisible by PredictorConfig.num_heads {self.num_heads}")
 
     @property
     def mlp_dims(self):
@@ -179,7 +176,8 @@ def select_topk_keep(decisions: np.ndarray, keep_rate: float) -> np.ndarray:
     sorted ascending; lower index wins ties. Like the random and structure
     policies, a non-empty set keeps at least one token; an empty one gives
     no indices."""
+    _check_rate("keep_rate", keep_rate)
     decisions = np.asarray(decisions, dtype=np.float64)
-    if not 0.0 < keep_rate <= 1.0:
-        raise ContractViolation(f"keep_rate must be in (0, 1], got {keep_rate}")
+    if decisions.ndim != 2 or decisions.shape[1] != 2:
+        raise ContractViolation(f"decisions of shape {decisions.shape} are not (n, 2)")
     return kernels.topk_argmax(decisions[:, 1], _keep_count(decisions.shape[0], keep_rate))

@@ -58,9 +58,10 @@ from .model import (
     KVCacheStore,
     Model,
     SequenceState,
+    _check_choice,
+    _check_int,
     _check_position,
-    _is_int,
-    _is_real,
+    _check_rate,
     _logits_at,
     append_output,
     attend_cached,
@@ -80,6 +81,7 @@ from .predictors import (
 
 POLICIES = ("learned", "random", "structure")
 SELECTION_MODES = ("argmax", "topk")
+DECODE_MODES = ("no_cache", "with_cache")
 _STREAM_SALT = 104729  # decouples per-token admission draws from other rng uses
 
 
@@ -93,22 +95,12 @@ class SparsityConfig:
     policy_seed: int = 0
 
     def validate(self, num_layers: int):
-        if not (_is_int(self.sparsify_layer) and 0 <= self.sparsify_layer < num_layers):
-            raise ContractViolation(
-                f"sparsify_layer must be an integer in [0, {num_layers - 1}], "
-                f"got {self.sparsify_layer!r}"
-            )
-        for name in ("image_keep_rate", "output_keep_rate"):
-            rate = getattr(self, name)
-            if not (_is_real(rate) and 0.0 < rate <= 1.0):
-                raise ContractViolation(f"{name} must be a real number in (0, 1]")
-        if self.selection_mode not in SELECTION_MODES:
-            raise ContractViolation(f"unknown selection_mode {self.selection_mode!r}")
-        if self.policy not in POLICIES:
-            raise ContractViolation(f"unknown policy {self.policy!r}")
-        if not (_is_int(self.policy_seed) and self.policy_seed >= 0):
-            raise ContractViolation(f"policy_seed must be an integer >= 0, "
-                                    f"got {self.policy_seed!r}")
+        _check_int("sparsify_layer", self.sparsify_layer, 0, num_layers)
+        _check_rate("image_keep_rate", self.image_keep_rate)
+        _check_rate("output_keep_rate", self.output_keep_rate)
+        _check_choice("selection_mode", self.selection_mode, SELECTION_MODES)
+        _check_choice("policy", self.policy, POLICIES)
+        _check_int("policy_seed", self.policy_seed, 0)
         return self
 
 
@@ -155,19 +147,18 @@ class GenerationTrace:
 
 
 def _zero_flags(n: int) -> np.ndarray:
-    """``n`` zero keep flags; ``n`` must be an integer >= 0."""
-    if not (_is_int(n) and n >= 0):
-        raise ContractViolation(f"token count must be an integer >= 0, got {n!r}")
+    """``n`` zero keep flags for a token count ``n``, an integer >= 0."""
+    _check_int("token count", n, 0)
     return np.zeros(n, dtype=np.int64)
 
 
 def random_policy_mask(n: int, keep_rate: float, seed: int) -> np.ndarray:
     """Seeded random keep flags: floor(keep_rate*n) ones, then the last flag
-    is forced to 1. The keep rate must be a real number in (0, 1]."""
+    is forced to 1. The rate is a keep rate (``_check_rate``) and the seed
+    an integer >= 0."""
     flags = _zero_flags(n)
-    if not (_is_real(keep_rate) and 0.0 < keep_rate <= 1.0):
-        raise ContractViolation(f"keep_rate must be a real number in (0, 1], "
-                                f"got {keep_rate!r}")
+    _check_rate("keep_rate", keep_rate)
+    _check_int("seed", seed, 0)
     k = int(np.floor(keep_rate * n))
     flags[np.random.default_rng(seed).choice(n, size=k, replace=False)] = 1
     flags[-1:] = 1
@@ -470,21 +461,19 @@ def sparse_greedy_generate(model: Model, predictors: Predictors,
     """Greedy generation under sparsified inference; returns a trace.
 
     Generation starts from a prompt-only state: the first generated token
-    takes position ``n_prefill``, so a state that already holds outputs is
-    refused before any layer runs. Both modes produce identical token
-    sequences for the same weights; the no-cache trace reports the
-    per-token keep decisions, each made once as its token is fed, that the
-    cached mode records as admissions.
+    takes position ``n_prefill``, so a state that already holds outputs, or
+    one that ``_check_state`` refuses, is refused before any layer runs.
+    Both modes produce identical token sequences for the same weights; the
+    no-cache trace reports the per-token keep decisions, each made once as
+    its token is fed, that the cached mode records as admissions.
     Generation stops at EOS, after max_new_tokens, or after the token that
     has no position left below max_seq_len; the trace's ``stop_reason``
     says which.
     """
-    if mode not in ("no_cache", "with_cache"):
-        raise ContractViolation(f"unknown mode {mode!r}")
-    if not (_is_int(max_new_tokens) and max_new_tokens >= 0):
-        raise ContractViolation(f"max_new_tokens must be an integer >= 0, "
-                                f"got {max_new_tokens!r}")
+    _check_choice("mode", mode, DECODE_MODES)
+    _check_int("max_new_tokens", max_new_tokens, 0)
     _validate(model, predictors, cfg)
+    _check_state(model, state, False)
     if state.n_output:
         raise ContractViolation(f"generation starts from a prompt-only state, "
                                 f"got one with {state.n_output} outputs")
@@ -580,9 +569,10 @@ def batch_sparse_decode(model: Model, predictors: Predictors,
     time: ``sparse_decode_no_cache`` (``no_cache``), or ``sparse_prefill`` of
     its prompt then ``sparse_decode_with_cache`` over its outputs
     (``with_cache``). Lanes may hold different numbers of outputs, but each
-    needs at least one."""
-    if mode not in ("no_cache", "with_cache"):
-        raise ContractViolation(f"unknown mode {mode!r}")
+    needs at least one; every lane passes ``_check_state`` before any runs."""
+    _check_choice("mode", mode, DECODE_MODES)
+    for st in batch.states:
+        _check_state(model, st, False)
     if any(st.n_output < 1 for st in batch.states):
         raise ContractViolation("batch decode: every sample needs output tokens")
     return np.stack([sparse_decode_no_cache(model, predictors, st, cfg) if mode == "no_cache"

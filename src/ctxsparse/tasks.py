@@ -30,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation
+from .model import _check_int
 from .training import TrainBatch
 
 
@@ -62,13 +63,11 @@ class KeyedLookupTask:
     def __init__(self, n_image=15, n_keys=3, n_codes=6, text_len=4,
                  output_len=40, feat_dim=32, n_values=16, key_gain=3.0,
                  seed=0):
-        if not self.WINDOW <= n_values <= 16:
-            raise ContractViolation("n_values must lie in [WINDOW, 16]")
+        _check_int("n_values", n_values, self.WINDOW, 17)
         if output_len < self.ECHO_START + 2 or output_len % 2:
             raise ContractViolation(
                 f"output_len must be even and >= {self.ECHO_START + 2}")
-        if not 0 < n_keys <= n_image:
-            raise ContractViolation("need 0 < n_keys <= n_image")
+        _check_int("n_keys", n_keys, 1, n_image + 1)
         self.n_image = n_image
         self.n_keys = n_keys
         self.n_codes = n_codes

@@ -31,8 +31,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import ContractViolation
-from .model import (Model, _is_int, _is_real, _logits_at, _token_ids, append_output,
-                    causal_mask, embed_inputs, layer_forward)
+from .model import (Model, _check_choice, _check_int, _is_real, _logits_at, _token_ids,
+                    append_output, causal_mask, embed_inputs, layer_forward)
 from .predictors import Predictors, _keep_count, image_decisions, output_decisions
 from .sparsify import SparsityConfig, _cached_logits
 
@@ -55,8 +55,7 @@ class TrainConfig:
     def validate(self):
         for name, low in (("total_steps", 1), ("batch_size", 1), ("min_output_len", 0),
                           ("lambda_warmup_steps", 0), ("seed", 0)):
-            if not (_is_int(getattr(self, name)) and getattr(self, name) >= low):
-                raise ContractViolation(f"{name} must be an integer >= {low}")
+            _check_int(name, getattr(self, name), low)
         for name in ("lambda_reg", "tau_initial", "tau_final", "momentum",
                      "lr_model", "lr_predictor"):
             value = getattr(self, name)
@@ -69,8 +68,7 @@ class TrainConfig:
         for name in ("lr_model", "lr_predictor"):
             if not getattr(self, name) > 0.0:
                 raise ContractViolation(f"{name} must be > 0")
-        if self.optimizer not in ("adam", "sgd"):
-            raise ContractViolation(f"unknown optimizer {self.optimizer!r}")
+        _check_choice("optimizer", self.optimizer, ("adam", "sgd"))
         return self
 
     def lambda_at(self, step: int) -> float:

@@ -844,3 +844,8 @@ def test_model_config_rejects_an_integer_field_that_is_not_an_integer(field, val
     any weight is drawn."""
     with pytest.raises(ContractViolation, match=f"ModelConfig.{field}"):
         m.make_model(replace(TOY, **{field: value}), seed=0)
+
+
+def test_model_config_refuses_heads_that_do_not_divide_the_width():
+    with pytest.raises(ContractViolation, match="not divisible by ModelConfig.num_heads 3"):
+        m.make_model(replace(TOY, num_heads=3), seed=0)

@@ -121,10 +121,12 @@ def test_batched_image_decisions_mask_pads():
 @pytest.mark.parametrize("field, value", [
     ("input_dim", 2.5), ("input_dim", -8), ("hidden", 8.0), ("num_heads", True),
     ("keep_bias_init", float("nan")), ("keep_bias_init", "2.0"),
+    ("hidden", 2), ("hidden", 6),
 ])
 def test_predictor_config_rejects_a_field_of_the_wrong_kind(field, value):
     """Integer fields are integers, not bools (``input_dim`` and
-    ``num_heads`` >= 1, ``hidden`` >= 0), and ``keep_bias_init`` is a finite
-    real, all checked before any weight is drawn."""
+    ``num_heads`` >= 1, ``hidden`` >= 0, and a given ``hidden`` >= 4 and
+    divisible by ``num_heads``), and ``keep_bias_init`` is a finite real,
+    all checked before any weight is drawn."""
     with pytest.raises(ContractViolation, match=f"PredictorConfig.{field}"):
         pr.make_predictors(pr.PredictorConfig(**{"input_dim": 64, field: value}), seed=0)

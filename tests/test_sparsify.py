@@ -9,7 +9,7 @@ from hypothesis import strategies as hs
 from ctxsparse import model as m
 from ctxsparse import sparsify as sp
 from ctxsparse.errors import ContractViolation
-from ctxsparse.predictors import PredictorConfig, make_predictors
+from ctxsparse.predictors import PredictorConfig, make_predictors, select_topk_keep
 
 CFG = m.ModelConfig(num_layers=4, hidden_dim=64, num_heads=4, ffn_dim=128,
                     vocab_size=96, max_seq_len=256, image_feature_dim=32)
@@ -62,6 +62,19 @@ def test_random_policy_mask_refuses_bad_counts_and_rates(n, rate):
         sp.random_policy_mask(n, rate, seed=0)
 
 
+@pytest.mark.parametrize("call, match", [
+    (lambda: select_topk_keep(np.zeros((4, 2)), "0.5"), "keep_rate"),
+    (lambda: select_topk_keep(np.zeros(4), 0.5), r"not \(n, 2\)"),
+    (lambda: select_topk_keep(np.zeros((4, 3)), 0.5), r"not \(n, 2\)"),
+    (lambda: sp.random_policy_mask(5, 0.5, -1), "seed"),
+    (lambda: sp.random_policy_mask(5, 0.5, 1.5), "seed"),
+], ids=["topk-str-rate", "topk-1d", "topk-3-columns", "random-negative-seed",
+        "random-float-seed"])
+def test_selection_helpers_refuse_a_bad_rate_shape_or_seed(call, match):
+    with pytest.raises(ContractViolation, match=match):
+        call()
+
+
 def test_sparsify_layer_range_includes_zero():
     for layer in (-1, CFG.num_layers):
         with pytest.raises(ContractViolation, match="sparsify_layer"):
@@ -73,6 +86,7 @@ def test_sparsify_layer_range_includes_zero():
     ("sparsify_layer", 1.5), ("sparsify_layer", "1"), ("sparsify_layer", True),
     ("image_keep_rate", "0.5"), ("output_keep_rate", "0.5"), ("output_keep_rate", True),
     ("policy_seed", -1), ("policy_seed", 1.5), ("policy_seed", "0"),
+    ("selection_mode", "greedy"),
 ])
 def test_sparsity_config_rejects_values_of_the_wrong_kind(field, value):
     for policy in sp.POLICIES:
@@ -706,6 +720,41 @@ def test_forwards_refuse_a_state_longer_than_max_seq_len(monkeypatch):
     for call in (m.full_logits, m.decode_step_no_cache):
         with pytest.raises(ContractViolation, match="max_seq_len"):
             call(short, long_outputs)
+
+
+@pytest.mark.parametrize("name", ["image", "text", "output"])
+def test_generation_and_batch_decoding_check_the_state_before_reading_it(monkeypatch, name):
+    """A state whose rows are nested lists fails the state check before
+    either entry point reads its token counts."""
+    model, preds, prompt_only = setup(31)
+    state = prompt_only.copy()
+    m.append_output(model, state, 5)
+    for st in (prompt_only, state):
+        setattr(st, name, getattr(st, name).tolist())
+    no_layer_runs(monkeypatch)
+    for mode in ("no_cache", "with_cache"):
+        with pytest.raises(ContractViolation, match=f"state {name} rows"):
+            sp.sparse_greedy_generate(model, preds, prompt_only, scfg(), 3, mode=mode)
+        with pytest.raises(ContractViolation, match=f"state {name} rows"):
+            sp.batch_sparse_decode(model, preds, sp.PaddedBatch([state]), scfg(), mode=mode)
+
+
+def test_no_cache_decoding_refuses_a_prompt_only_state(monkeypatch):
+    model, preds, state = setup(32)
+    no_layer_runs(monkeypatch)
+    with pytest.raises(ContractViolation, match="needs >= 1 output token"):
+        sp.sparse_decode_no_cache(model, preds, state, scfg())
+
+
+def test_an_unknown_policy_or_mode_is_refused_before_any_layer_runs(monkeypatch):
+    model, preds, state = setup(33)
+    no_layer_runs(monkeypatch)
+    with pytest.raises(ContractViolation, match="unknown policy 'oracle'"):
+        sp.sparse_prefill(model, preds, state, scfg(policy="oracle"))
+    with pytest.raises(ContractViolation, match="unknown mode 'fast'"):
+        sp.sparse_greedy_generate(model, preds, state, scfg(), 2, mode="fast")
+    with pytest.raises(ContractViolation, match="unknown mode 'fast'"):
+        sp.batch_sparse_decode(model, preds, sp.PaddedBatch([state]), scfg(), mode="fast")
 
 
 @pytest.mark.parametrize("entry", [1, None, "state", (np.zeros((2, 64)),)])

@@ -309,6 +309,7 @@ def test_random_control_keeps_one_token_of_each_non_empty_segment():
     ("lr_model", float("inf")),
     ("lr_predictor", 0.0), ("lr_predictor", -1e-3), ("lr_predictor", float("nan")),
     ("lr_predictor", float("inf")),
+    ("lambda_reg", -1.0), ("tau_final", 2.0), ("optimizer", "rmsprop"),
 ])
 def test_train_config_rejects_bad_batch_size_and_learning_rates(field, value):
     with pytest.raises(ContractViolation, match=field):
@@ -381,6 +382,7 @@ FAULTY_BATCHES = [
     ("feature-width", lambda b, cfg: replace(b, image_feats=b.image_feats[..., :-1]),
      "image_feature_dim"),
     ("no-outputs", lambda b, cfg: replace(b, output_ids=b.output_ids[:, :0]), "no output"),
+    ("wrong-rank", lambda b, cfg: replace(b, text_ids=b.text_ids[0]), "TrainBatch shapes"),
     ("longer-than-max-seq-len", lambda b, cfg: replace(
         b, text_ids=np.ones((b.size, cfg.max_seq_len), dtype=np.int64)), "max_seq_len"),
 ]
@@ -429,3 +431,40 @@ def test_run_training_rejects_a_seed_that_is_not_an_integer_at_least_zero(seed):
                         sp.SparsityConfig(sparsify_layer=1))
     for name, arr in tr._grouped_arrays(model, preds):
         assert np.array_equal(arr, before[name]), name
+
+
+def test_lambda_ramps_in_linearly_over_the_warmup():
+    cfg = tr.TrainConfig(lambda_reg=100.0, lambda_warmup_steps=10)
+    assert [cfg.lambda_at(step) for step in (0, 5, 10, 20)] == [0.0, 50.0, 100.0, 100.0]
+
+
+def test_temperatures_outside_their_ranges_are_refused():
+    cfg = tr.TrainConfig(total_steps=10)
+    for step in (-1, 11):
+        with pytest.raises(ContractViolation, match="total_steps"):
+            tr.tau_at(step, cfg)
+    for tau in (0.0, -1.0):
+        with pytest.raises(ContractViolation, match="temperature"):
+            tr.gumbel_softmax_rows(np.zeros((2, 2)), tau, np.zeros((2, 2)))
+
+
+def test_training_step_on_a_batch_without_image_tokens():
+    task, model, preds, train_cfg = keyed_lookup_setup()
+    batch = task.training_batch(np.random.default_rng(64), train_cfg.batch_size)
+    batch = replace(batch, image_feats=batch.image_feats[:, :0])
+    before = model.lm_head.copy()
+    out = tr.training_step(model, preds, batch, train_cfg,
+                           sp.SparsityConfig(sparsify_layer=1), 0,
+                           tr.make_optimizer(model, preds, train_cfg), np.random.default_rng(65))
+    assert np.isfinite(out.total) and np.isfinite(out.cross_entropy)
+    assert np.isnan(out.image_keep_fraction)
+    assert not np.array_equal(model.lm_head, before)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("n_values", 7), ("n_values", 17), ("n_values", 8.0), ("output_len", 22),
+    ("output_len", 25), ("n_keys", 0), ("n_keys", 16),
+])
+def test_keyed_lookup_task_refuses_bad_arguments(field, value):
+    with pytest.raises(ContractViolation, match=field):
+        tasks.KeyedLookupTask(**{field: value})
