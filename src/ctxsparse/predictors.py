@@ -156,10 +156,18 @@ def output_decisions(p: Predictors, output_hidden):
     return _decision_mlp(x, p.output_mlp_w, p.output_mlp_b)
 
 
-def decisions_to_mask(decisions: np.ndarray) -> np.ndarray:
-    """Binary keep flags: 1 iff the keep score strictly exceeds the drop
-    score (ties drop)."""
+def _decision_pairs(decisions) -> np.ndarray:
+    """``decisions`` as float64 (n, 2) drop and keep scores, or refused."""
     decisions = np.asarray(decisions, dtype=np.float64)
+    if decisions.ndim != 2 or decisions.shape[1] != 2:
+        raise ContractViolation(f"decisions of shape {decisions.shape} are not (n, 2)")
+    return decisions
+
+
+def decisions_to_mask(decisions: np.ndarray) -> np.ndarray:
+    """Binary keep flags of (n, 2) decisions: 1 iff the keep score strictly
+    exceeds the drop score (ties drop)."""
+    decisions = _decision_pairs(decisions)
     if decisions.shape[0] == 0:
         return np.zeros(0, dtype=np.int64)
     return (kernels.argmax_lastdim(decisions) == 1).astype(np.int64)
@@ -177,7 +185,5 @@ def select_topk_keep(decisions: np.ndarray, keep_rate: float) -> np.ndarray:
     policies, a non-empty set keeps at least one token; an empty one gives
     no indices."""
     _check_rate("keep_rate", keep_rate)
-    decisions = np.asarray(decisions, dtype=np.float64)
-    if decisions.ndim != 2 or decisions.shape[1] != 2:
-        raise ContractViolation(f"decisions of shape {decisions.shape} are not (n, 2)")
+    decisions = _decision_pairs(decisions)
     return kernels.topk_argmax(decisions[:, 1], _keep_count(decisions.shape[0], keep_rate))

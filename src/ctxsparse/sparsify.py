@@ -3,6 +3,11 @@ reduction when decoding without a KV cache, and online KV-cache admission
 when decoding with one, plus batch entry points and the Random/Structure
 static baselines.
 
+Every policy keeps ``_keep_count(n, image_keep_rate)`` of n image tokens
+(learned top-k, a seeded draw or an even stride; learned argmax keeps what
+its decisions keep). Structure keeps within one token of ``output_keep_rate``
+of every output prefix; random keeps each output with that probability.
+
 Layer convention: with ``sparsify_layer = l`` (0 <= l < num_layers) the
 first l layers always see the full token set and cache every token, the
 predictors read the l-th layer's output (the embeddings when l = 0), and
@@ -72,6 +77,7 @@ from .model import (
 )
 from .predictors import (
     Predictors,
+    _keep_count,
     decisions_to_mask,
     image_decisions,
     image_decisions_batched,  # not called here; kept for the benchmark's probes
@@ -143,46 +149,30 @@ class GenerationTrace:
         return {"schema_version": 1, **asdict(self)}
 
 
-# -- static baseline masks -----------------------------------------------------
+# -- static baselines ----------------------------------------------------------
 
 
-def _zero_flags(n: int) -> np.ndarray:
-    """``n`` zero keep flags for a token count ``n``, an integer >= 0."""
-    _check_int("token count", n, 0)
-    return np.zeros(n, dtype=np.int64)
-
-
-def random_policy_mask(n: int, keep_rate: float, seed: int) -> np.ndarray:
-    """Seeded random keep flags: floor(keep_rate*n) ones, then the last flag
-    is forced to 1. The rate is a keep rate (``_check_rate``) and the seed
-    an integer >= 0."""
-    flags = _zero_flags(n)
-    _check_rate("keep_rate", keep_rate)
-    _check_int("seed", seed, 0)
-    k = int(np.floor(keep_rate * n))
-    flags[np.random.default_rng(seed).choice(n, size=k, replace=False)] = 1
-    flags[-1:] = 1
-    return flags
-
-
-def structure_policy_mask(n: int) -> np.ndarray:
-    """Alternating 1,0,1,0,... keep flags with the last flag forced to 1."""
-    flags = _zero_flags(n)
-    flags[::2] = 1
-    flags[-1:] = 1
-    return flags
+def _static_keep(n: int, keep_rate: float, policy: str, rng) -> np.ndarray:
+    """Sorted indices of the ``_keep_count(n, keep_rate)`` image tokens a
+    static policy keeps: a draw without replacement from ``rng`` (random)
+    or an even stride over the ``n`` >= 1 tokens (structure)."""
+    k = _keep_count(n, keep_rate)
+    if policy == "random":
+        return np.sort(rng.choice(n, size=k, replace=False))
+    return np.arange(k) * n // k
 
 
 def _stream_admit(cfg: SparsityConfig, token_index: int) -> bool:
-    """Stable per-token admission draw for the static policies.
-
-    Online decisions must not change as the sequence grows, so each output
-    token's draw is keyed by its own index alone.
-    """
+    """Stable per-token admission draw for the static policies, keyed by the
+    token's index alone so that it does not change as the sequence grows.
+    Random keeps a token with probability r = ``output_keep_rate``; structure
+    keeps output i iff floor(c(i + 1)) > floor(c(i)) for c(i) = i*r + 1 - r,
+    so the first m outputs keep floor(c(m)), within one of m*r."""
+    r = cfg.output_keep_rate
     if cfg.policy == "random":
         coin = np.random.default_rng((cfg.policy_seed, _STREAM_SALT, token_index))
-        return bool(coin.random() < cfg.output_keep_rate)
-    return token_index % 2 == 0  # structure: keep every other token
+        return bool(coin.random() < r)
+    return bool(np.floor((token_index + 1) * r + 1 - r) > np.floor(token_index * r + 1 - r))
 
 
 # -- selection helpers ---------------------------------------------------------
@@ -190,15 +180,15 @@ def _stream_admit(cfg: SparsityConfig, token_index: int) -> bool:
 
 def select_image_keep(predictors: Predictors, image_hidden: np.ndarray,
                       cfg: SparsityConfig) -> np.ndarray:
-    """Sorted original indices of image tokens retained beyond layer l."""
+    """Sorted original indices of the image tokens retained beyond layer l:
+    ``_keep_count(n, image_keep_rate)`` of them under every policy but
+    learned argmax, which keeps those its decisions keep."""
     n = image_hidden.shape[0]
     if n == 0 or cfg.image_keep_rate == 1.0:
         return np.arange(n)
-    if cfg.policy == "random":
-        flags = random_policy_mask(n, cfg.image_keep_rate, cfg.policy_seed)
-        return np.flatnonzero(flags)
-    if cfg.policy == "structure":
-        return np.flatnonzero(structure_policy_mask(n))
+    if cfg.policy != "learned":
+        return _static_keep(n, cfg.image_keep_rate, cfg.policy,
+                            np.random.default_rng(cfg.policy_seed))
     decisions = image_decisions(predictors, image_hidden)
     if cfg.selection_mode == "topk":
         return select_topk_keep(decisions, cfg.image_keep_rate)

@@ -64,10 +64,14 @@ class KeyedLookupTask:
                  output_len=40, feat_dim=32, n_values=16, key_gain=3.0,
                  seed=0):
         _check_int("n_values", n_values, self.WINDOW, 17)
-        if output_len < self.ECHO_START + 2 or output_len % 2:
-            raise ContractViolation(
-                f"output_len must be even and >= {self.ECHO_START + 2}")
+        _check_int("output_len", output_len, self.ECHO_START + 2)
+        if output_len % 2:
+            raise ContractViolation(f"output_len must be even, got {output_len}")
+        _check_int("n_image", n_image, 1)
         _check_int("n_keys", n_keys, 1, n_image + 1)
+        _check_int("n_codes", n_codes, 1)
+        _check_int("feat_dim", feat_dim, 1)
+        _check_int("text_len", text_len, 0, 8)  # prompt ids stay below the answer ids
         self.n_image = n_image
         self.n_keys = n_keys
         self.n_codes = n_codes

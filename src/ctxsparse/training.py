@@ -33,8 +33,8 @@ from . import autodiff as ad
 from .errors import ContractViolation
 from .model import (Model, _check_choice, _check_int, _is_real, _logits_at, _token_ids,
                     append_output, causal_mask, embed_inputs, layer_forward)
-from .predictors import Predictors, _keep_count, image_decisions, output_decisions
-from .sparsify import SparsityConfig, _cached_logits
+from .predictors import Predictors, image_decisions, output_decisions
+from .sparsify import SparsityConfig, _cached_logits, _static_keep
 
 
 @dataclass
@@ -140,8 +140,7 @@ class TrainBatch:
 def tau_at(step: int, cfg: TrainConfig) -> float:
     """Exponentially decayed temperature: tau(0)=tau_initial and
     tau(total_steps)=tau_final, geometric in between."""
-    if not 0 <= step <= cfg.total_steps:
-        raise ContractViolation("step outside [0, total_steps]")
+    _check_int("step (at most total_steps)", step, 0, cfg.total_steps + 1)
     frac = step / cfg.total_steps
     return cfg.tau_initial * (cfg.tau_final / cfg.tau_initial) ** frac
 
@@ -154,7 +153,7 @@ def gumbel_noise(rng: np.random.Generator, shape) -> np.ndarray:
 
 def gumbel_softmax_rows(decisions, tau: float, noise) -> ad.Tensor:
     """Row-wise softmax of (decisions + noise) / tau; rows sum to 1."""
-    if tau <= 0.0:
+    if not tau > 0.0:  # NaN too
         raise ContractViolation("gumbel softmax temperature must be > 0")
     d = decisions if isinstance(decisions, ad.Tensor) else ad.Tensor(decisions)
     return ad.softmax_lastdim((d + ad.constant(noise)) * (1.0 / tau))
@@ -348,16 +347,14 @@ def make_optimizer(model: Model, predictors: Predictors, cfg: TrainConfig):
 
 def _random_control_masks(rng, bsz, n_img, n_out, sparsity: SparsityConfig):
     """Fresh exact-count random keep flags for the frozen-predictor control:
-    ``_keep_count`` of each non-empty segment, the count ``select_topk_keep``
-    keeps at inference."""
+    ``_keep_count`` of each segment, drawn as the random policy draws its
+    image tokens at inference (``_static_keep``)."""
     m_img = np.zeros((bsz, n_img))
     m_out = np.zeros((bsz, n_out))
-    k_img = _keep_count(n_img, sparsity.image_keep_rate)
-    k_out = _keep_count(n_out, sparsity.output_keep_rate)
     for b in range(bsz):
         if n_img:
-            m_img[b, rng.choice(n_img, size=k_img, replace=False)] = 1.0
-        m_out[b, rng.choice(n_out, size=k_out, replace=False)] = 1.0
+            m_img[b, _static_keep(n_img, sparsity.image_keep_rate, "random", rng)] = 1.0
+        m_out[b, _static_keep(n_out, sparsity.output_keep_rate, "random", rng)] = 1.0
     return m_img, m_out
 
 

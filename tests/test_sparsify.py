@@ -9,7 +9,8 @@ from hypothesis import strategies as hs
 from ctxsparse import model as m
 from ctxsparse import sparsify as sp
 from ctxsparse.errors import ContractViolation
-from ctxsparse.predictors import PredictorConfig, make_predictors, select_topk_keep
+from ctxsparse.predictors import (PredictorConfig, _keep_count, decisions_to_mask,
+                                  make_predictors, select_topk_keep)
 
 CFG = m.ModelConfig(num_layers=4, hidden_dim=64, num_heads=4, ffn_dim=128,
                     vocab_size=96, max_seq_len=256, image_feature_dim=32)
@@ -35,41 +36,49 @@ def scfg(**kw):
 # -- policies -------------------------------------------------------------------
 
 
-def test_random_policy_mask_counts_and_reproducibility():
-    mask = sp.random_policy_mask(10, 0.5, seed=7)
-    again = sp.random_policy_mask(10, 0.5, seed=7)
-    assert np.array_equal(mask, again)
-    # exactly 5 ones before the forced-keep adjustment; forcing can add one
-    assert mask.sum() in (5, 6) and mask[-1] == 1
-    assert sp.random_policy_mask(6, 1.0, seed=0).tolist() == [1] * 6
-    assert sp.random_policy_mask(0, 0.5, seed=3).tolist() == []
+BUDGET_PREDICTORS = make_predictors(PredictorConfig(input_dim=64), seed=9)
 
 
-def test_structure_policy_mask_patterns():
-    assert sp.structure_policy_mask(4).tolist() == [1, 0, 1, 1]
-    assert sp.structure_policy_mask(1).tolist() == [1]
-    assert sp.structure_policy_mask(0).tolist() == []
-    with pytest.raises(ContractViolation, match="token count"):
-        sp.structure_policy_mask(-1)
+@pytest.mark.parametrize("rate", [0.1, 0.2, 0.5, 0.75, 1.0])
+@pytest.mark.parametrize("n", [1, 4, 5, 15, 576])
+@pytest.mark.parametrize("policy", sp.POLICIES)
+def test_every_policy_keeps_the_keep_count_of_image_tokens(policy, n, rate):
+    rows = np.random.default_rng(n).normal(size=(n, 64))
+
+    def keep(seed=0):
+        cfg = scfg(image_keep_rate=rate, policy=policy, policy_seed=seed)
+        return sp.select_image_keep(BUDGET_PREDICTORS, rows, cfg)
+    kept = keep()
+    assert kept.size == _keep_count(n, rate)
+    assert np.array_equal(kept, np.unique(kept)) and 0 <= kept[0] and kept[-1] < n
+    if policy == "random":
+        assert np.array_equal(kept, keep())
+        sets = {tuple(keep(seed)) for seed in range(8)}
+        assert (len(sets) == 1) if kept.size == n else (len(sets) > 1)
 
 
-@pytest.mark.parametrize("n, rate", [
-    (10, 0.0), (10, 1.5), (10, -0.5), (10, float("nan")), (10, "0.5"),
-    (-1, 0.5), (2.5, 0.5), (True, 0.5), ("3", 0.5),
-])
-def test_random_policy_mask_refuses_bad_counts_and_rates(n, rate):
-    with pytest.raises(ContractViolation, match="keep_rate|token count"):
-        sp.random_policy_mask(n, rate, seed=0)
+@pytest.mark.parametrize("rate", [0.2, 0.3, 0.5, 0.75])
+def test_structure_outputs_keep_the_rate_of_every_prefix(rate):
+    cfg = scfg(policy="structure", output_keep_rate=rate)
+    flags = sp._output_flags(None, np.zeros((512, 1)), cfg)
+    admitted = [sp._output_flags(None, np.zeros((1, 1)), cfg, i)[0] for i in range(512)]
+    assert flags.tolist() == admitted
+    kept = np.concatenate([[0], np.cumsum(flags)])  # of the first m outputs, m <= 512
+    assert np.all(np.abs(kept - np.arange(513) * rate) < 1)
+    model, preds, state = setup(7)
+    cfg = scfg(sparsify_layer=0, policy="structure", output_keep_rate=rate)
+    for mode in sp.DECODE_MODES:
+        trace = sp.sparse_greedy_generate(model, preds, state, cfg, 12, mode=mode)
+        assert [r.admitted for r in trace.admissions] == flags[:11].astype(bool).tolist()
 
 
 @pytest.mark.parametrize("call, match", [
     (lambda: select_topk_keep(np.zeros((4, 2)), "0.5"), "keep_rate"),
     (lambda: select_topk_keep(np.zeros(4), 0.5), r"not \(n, 2\)"),
     (lambda: select_topk_keep(np.zeros((4, 3)), 0.5), r"not \(n, 2\)"),
-    (lambda: sp.random_policy_mask(5, 0.5, -1), "seed"),
-    (lambda: sp.random_policy_mask(5, 0.5, 1.5), "seed"),
-], ids=["topk-str-rate", "topk-1d", "topk-3-columns", "random-negative-seed",
-        "random-float-seed"])
+    (lambda: decisions_to_mask(np.zeros((3, 3))), r"not \(n, 2\)"),
+    (lambda: decisions_to_mask(np.zeros(4)), r"not \(n, 2\)"),
+], ids=["topk-str-rate", "topk-1d", "topk-3-columns", "mask-3-columns", "mask-1d"])
 def test_selection_helpers_refuse_a_bad_rate_shape_or_seed(call, match):
     with pytest.raises(ContractViolation, match=match):
         call()

@@ -303,6 +303,18 @@ def test_random_control_keeps_one_token_of_each_non_empty_segment():
     assert m_img.shape == (2, 0) and m_out.sum(axis=1).tolist() == [1.0, 1.0]
 
 
+def test_random_control_draws_the_random_policy_subsets():
+    rates = sp.SparsityConfig(image_keep_rate=0.2, output_keep_rate=0.3, policy="random",
+                              policy_seed=4)
+    m_img, m_out = tr._random_control_masks(np.random.default_rng(4), 3, 15, 11, rates)
+    rng = np.random.default_rng(4)
+    for b in range(3):
+        assert np.flatnonzero(m_img[b]).tolist() == sp._static_keep(15, 0.2, "random", rng).tolist()
+        assert np.flatnonzero(m_out[b]).tolist() == sp._static_keep(11, 0.3, "random", rng).tolist()
+    inference = sp.select_image_keep(None, np.zeros((15, 8)), rates)
+    assert np.flatnonzero(m_img[0]).tolist() == inference.tolist()
+
+
 @pytest.mark.parametrize("field, value", [
     ("batch_size", 0), ("batch_size", -2),
     ("lr_model", 0.0), ("lr_model", -1e-3), ("lr_model", float("nan")),
@@ -440,10 +452,10 @@ def test_lambda_ramps_in_linearly_over_the_warmup():
 
 def test_temperatures_outside_their_ranges_are_refused():
     cfg = tr.TrainConfig(total_steps=10)
-    for step in (-1, 11):
+    for step in (-1, 11, 2.5, True):
         with pytest.raises(ContractViolation, match="total_steps"):
             tr.tau_at(step, cfg)
-    for tau in (0.0, -1.0):
+    for tau in (0.0, -1.0, float("nan")):
         with pytest.raises(ContractViolation, match="temperature"):
             tr.gumbel_softmax_rows(np.zeros((2, 2)), tau, np.zeros((2, 2)))
 
@@ -463,7 +475,9 @@ def test_training_step_on_a_batch_without_image_tokens():
 
 @pytest.mark.parametrize("field, value", [
     ("n_values", 7), ("n_values", 17), ("n_values", 8.0), ("output_len", 22),
-    ("output_len", 25), ("n_keys", 0), ("n_keys", 16),
+    ("output_len", 25), ("n_keys", 0), ("n_keys", 16), ("output_len", 40.0),
+    ("n_image", 0), ("n_image", 15.0), ("n_codes", 0), ("feat_dim", 0),
+    ("text_len", 8), ("text_len", 12), ("text_len", -1),
 ])
 def test_keyed_lookup_task_refuses_bad_arguments(field, value):
     with pytest.raises(ContractViolation, match=field):
