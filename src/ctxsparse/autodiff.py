@@ -173,11 +173,6 @@ class Tensor:
         out_data = self.data.reshape(*shape)
         return Tensor(out_data, ((self, lambda g, sh=self.data.shape: g.reshape(sh)),))
 
-    def transpose(self, *axes):
-        out_data = self.data.transpose(*axes)
-        inv = np.argsort(axes)
-        return Tensor(out_data, ((self, lambda g, iv=tuple(inv): g.transpose(iv)),))
-
     def swapaxes(self, a: int, b: int):
         return Tensor(self.data.swapaxes(a, b), ((self, lambda g: g.swapaxes(a, b)),))
 
@@ -291,13 +286,6 @@ def exp_rows_lastdim(x: Tensor, mask=None):
 def softmax_lastdim(x: Tensor) -> Tensor:
     """Softmax over the last axis; the max shift is treated as a constant."""
     e, sums = exp_rows_lastdim(x)
-    return e / sums
-
-
-def masked_softmax_lastdim(x: Tensor, mask: Tensor) -> Tensor:
-    """Softmax over the last axis restricted by a binary mask, differentiable
-    in both the scores and the mask; masked entries are exactly zero."""
-    e, sums = exp_rows_lastdim(x, mask)
     return e / sums
 
 

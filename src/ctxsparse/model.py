@@ -133,9 +133,6 @@ class Model:
                 params[f"layers.{i}.{name}"] = arr
         return params
 
-    def param_count(self) -> int:
-        return sum(a.size for a in self.parameters().values())
-
 
 def make_model(config: ModelConfig, seed: int = 0) -> Model:
     return Model(config, np.random.default_rng(seed))
@@ -219,14 +216,18 @@ class KVCacheStore:
     """
 
     def __init__(self, num_layers: int):
+        _check_int("cache num_layers", num_layers, 1)
         self.num_layers = num_layers
         self._k = [None] * num_layers
         self._v = [None] * num_layers
         self.positions = [[] for _ in range(num_layers)]
 
+    def _check_layer(self, layer):
+        _check_int("cache layer", layer, 0, self.num_layers)
+
     def _ensure_capacity(self, layer: int, dim: int, rows: int):
         """Make room for ``rows`` more rows, doubling from 16 as needed."""
-        n = self.length(layer)
+        n = len(self.positions[layer])
         cap = 0 if self._k[layer] is None else self._k[layer].shape[0]
         if n + rows <= cap:
             return
@@ -241,6 +242,7 @@ class KVCacheStore:
 
     def check_position(self, layer: int, position: int):
         """Raise unless ``position`` lies past the layer's last cached one."""
+        self._check_layer(layer)
         pos = self.positions[layer]
         if pos and position <= pos[-1]:
             raise ContractViolation(
@@ -251,25 +253,27 @@ class KVCacheStore:
     def slot(self, layer: int, width: int, rows: int = 1) -> KVSlot:
         """Views over the layer's committed rows plus ``rows`` free rows of
         width ``width`` past them, for ``layer_forward`` to write in place."""
+        self._check_layer(layer)
         if self._k[layer] is not None and self._k[layer].shape[1] != width:
             raise ContractViolation(
                 f"cache block width {width} != layer width "
                 f"{self._k[layer].shape[1]}")
         self._ensure_capacity(layer, width, rows)
-        end = self.length(layer) + rows
+        end = len(self.positions[layer]) + rows
         return KVSlot((self._k[layer][:end], self._v[layer][:end]))
 
     def commit(self, layer: int, positions: list):
         """Keep the first ``len(positions)`` free rows of the layer's last
         slot, at these original positions (ints, strictly increasing and
         past the last cached one)."""
+        self._check_layer(layer)
         if not positions:
             return
         if any(b <= a for a, b in zip(positions, positions[1:])):
             raise ContractViolation(
                 f"cache block positions at layer {layer} are not increasing")
         self.check_position(layer, positions[0])
-        n = self.length(layer) + len(positions)
+        n = len(self.positions[layer]) + len(positions)
         if self._k[layer] is None or n > self._k[layer].shape[0]:
             raise ContractViolation(
                 f"cache commit of {len(positions)} rows at layer {layer} "
@@ -285,6 +289,7 @@ class KVCacheStore:
         Positions must increase strictly, within the block and past the
         last cached one. Nothing is kept unless the whole block is valid.
         """
+        self._check_layer(layer)
         positions = np.asarray(positions, dtype=np.int64)
         if k.ndim != 2 or k.shape != v.shape or positions.shape != k.shape[:1]:
             raise ContractViolation(
@@ -299,6 +304,7 @@ class KVCacheStore:
         self.commit(layer, positions.tolist())
 
     def length(self, layer: int) -> int:
+        self._check_layer(layer)
         return len(self.positions[layer])
 
     def lengths(self) -> list:
@@ -306,9 +312,10 @@ class KVCacheStore:
 
     def stacked(self, layer: int):
         """Views over the layer's committed K and V rows."""
+        self._check_layer(layer)
         if self._k[layer] is None:
             raise ContractViolation(f"cache layer {layer} has never been written")
-        n = self.length(layer)
+        n = len(self.positions[layer])
         return self._k[layer][:n], self._v[layer][:n]
 
 
@@ -319,8 +326,9 @@ _rms_norm, _silu = ad.rms_norm, ad.silu  # on arrays too: one body, shared with 
 
 
 def causal_mask(n: int) -> np.ndarray:
-    """Lower-triangular attention mask over an ordered token subset."""
-    return np.tri(n)
+    """(n, n) bool lower-triangular attention mask over an ordered token
+    subset: row i sees keys 0..i."""
+    return np.tri(n, dtype=bool)
 
 
 def _query_blocks(mask, n: int, n_keys: int):

@@ -92,9 +92,6 @@ class Predictors:
             params[f"output.mlp{i}.b"] = b
         return params
 
-    def param_count(self) -> int:
-        return sum(a.size for a in self.parameters().values())
-
 
 def make_predictors(config: PredictorConfig, seed: int = 0) -> Predictors:
     return Predictors(config, np.random.default_rng(seed))

@@ -70,6 +70,7 @@ from .model import (
     _logits_at,
     append_output,
     attend_cached,
+    causal_mask,
     decoder_layer_forward,  # not called here; kept for the benchmark's probes
     embed_output_token,
     layer_forward,
@@ -187,6 +188,8 @@ def select_image_keep(predictors: Predictors, image_hidden: np.ndarray,
     if n == 0 or cfg.image_keep_rate == 1.0:
         return np.arange(n)
     if cfg.policy != "learned":
+        _check_rate("image_keep_rate", cfg.image_keep_rate)
+        _check_int("policy_seed", cfg.policy_seed, 0)
         return _static_keep(n, cfg.image_keep_rate, cfg.policy,
                             np.random.default_rng(cfg.policy_seed))
     decisions = image_decisions(predictors, image_hidden)
@@ -339,7 +342,7 @@ def _sparse_forward(model: Model, predictors: Predictors, state: SequenceState,
             x = x[np.searchsorted(positions, survivors)]
             positions = survivors
         if li in (0, split):
-            mask = np.tri(len(x), dtype=bool)  # causal; 1/8 of causal_mask's bytes
+            mask = causal_mask(len(x))
         rows = None
         if li == split - 1 and rec is not None:
             rows = _survivors(state, rec.image_keep, rec.output_flags if outputs else None)
@@ -416,6 +419,8 @@ def sparse_decode_with_cache(model: Model, predictors: Predictors,
     if cache.num_layers != model.config.num_layers:
         raise ContractViolation(f"cache of {cache.num_layers} layers for a "
                                 f"{model.config.num_layers}-layer model")
+    if not isinstance(admissions, list):
+        raise ContractViolation(f"admissions is a {type(admissions).__name__}, not a list")
     if not isinstance(last_token, np.ndarray):
         raise ContractViolation(f"cached step token is a {type(last_token).__name__}, "
                                 f"not an ndarray")
@@ -537,7 +542,7 @@ def _padded_causal_mask(valid: np.ndarray) -> np.ndarray:
     """Causal mask over left-padded rows: no attention into pad slots, and
     pad rows self-attend so every row keeps one live entry."""
     n = valid.shape[1]
-    mask = np.tri(n, dtype=bool) & valid[:, None, :]
+    mask = causal_mask(n) & valid[:, None, :]
     mask |= np.eye(n, dtype=bool)
     return mask
 

@@ -94,14 +94,13 @@ class KeyedLookupTask:
     def min_vocab(self):
         return self.value_low + self.n_values
 
-    def sample(self, rng: np.random.Generator, length=None) -> Sample:
-        length = self.output_len if length is None else length
+    def sample(self, rng: np.random.Generator) -> Sample:
         code = int(rng.integers(self.n_codes))
         key_slots = rng.choice(self.n_image, size=self.n_keys, replace=False)
         feats = rng.normal(size=(self.n_image, self.feat_dim))
         feats[key_slots] += self.key_dir + self.code_dirs[code]
-        out = np.empty(length, dtype=np.int64)
-        for k in range(length):
+        out = np.empty(self.output_len, dtype=np.int64)
+        for k in range(self.output_len):
             if k % 2 == 1:
                 out[k] = self.value_low + int(rng.integers(self.n_values))
             elif k < self.ECHO_START:
@@ -114,7 +113,9 @@ class KeyedLookupTask:
         return Sample(feats, self.text_ids.copy(), out)
 
     def training_batch(self, rng, batch_size: int) -> TrainBatch:
+        _check_int("batch_size", batch_size, 1)
         return _stack([self.sample(rng) for _ in range(batch_size)])
 
     def eval_samples(self, rng, count: int) -> list:
+        _check_int("count", count, 1)
         return [self.sample(rng) for _ in range(count)]

@@ -152,10 +152,15 @@ def gumbel_noise(rng: np.random.Generator, shape) -> np.ndarray:
 
 
 def gumbel_softmax_rows(decisions, tau: float, noise) -> ad.Tensor:
-    """Row-wise softmax of (decisions + noise) / tau; rows sum to 1."""
+    """Row-wise softmax of (decisions + noise) / tau; rows sum to 1. The
+    noise is a finite float ndarray of the decisions' shape."""
     if not tau > 0.0:  # NaN too
         raise ContractViolation("gumbel softmax temperature must be > 0")
     d = decisions if isinstance(decisions, ad.Tensor) else ad.Tensor(decisions)
+    if not (isinstance(noise, np.ndarray) and noise.dtype.kind == "f"
+            and noise.shape == d.shape and np.isfinite(noise).all()):
+        raise ContractViolation(f"gumbel noise must be a finite float ndarray of the "
+                                f"decisions' shape {d.shape}")
     return ad.softmax_lastdim((d + ad.constant(noise)) * (1.0 / tau))
 
 
@@ -169,10 +174,9 @@ def _mask_matrix_t(flags: ad.Tensor, n: int) -> ad.Tensor:
     """Differentiable (B, N, N) training mask: the (B, N) token keep flags
     broadcast over columns, intersected with the causal mask, with the
     diagonal forced to 1 so masked-out tokens still self-attend."""
-    tri = ad.constant(causal_mask(n))
     eye = np.eye(n)
-    g = flags.reshape(flags.shape[0], 1, n) * tri
-    return g * ad.constant(1.0 - eye) + ad.constant(eye)
+    return flags.reshape(flags.shape[0], 1, n) * ad.constant(causal_mask(n) - eye) \
+        + ad.constant(eye)
 
 
 # -- differentiable forward ------------------------------------------------------

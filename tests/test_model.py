@@ -737,6 +737,25 @@ def test_stacked_on_unwritten_layer_raises_contract_violation():
     assert k.shape == v.shape == (1, 8)
 
 
+def test_cache_refuses_a_bad_layer_or_layer_count():
+    for count in (0, -1, 1.5, True, "2"):
+        with pytest.raises(ContractViolation, match="num_layers"):
+            m.KVCacheStore(count)
+    cache = m.KVCacheStore(2)
+    cache.append(0, np.zeros(8), np.zeros(8), 0)
+    row = np.zeros((1, 8))
+    calls = [lambda i: cache.slot(i, 8), lambda i: cache.commit(i, [1]),
+             lambda i: cache.extend(i, row, row, [1]), lambda i: cache.append(i, row[0], row[0], 1),
+             lambda i: cache.extend(i, row[:0], row[:0], []), lambda i: cache.commit(i, []),
+             cache.length, cache.stacked, lambda i: cache.check_position(i, 1)]
+    for layer in (-1, -2, 2, 9, 1.0, True, None):
+        for call in calls:
+            with pytest.raises(ContractViolation, match="cache layer"):
+                call(layer)
+    assert cache.lengths() == [1, 0] and cache._k[1] is None
+    assert cache.stacked(0)[0].shape == (1, 8)
+
+
 def test_layer_forward_on_slot_equals_plain_pair_bit_for_bit():
     model = toy_model(8)
     layer = model.layers[1]

@@ -78,7 +78,17 @@ def test_structure_outputs_keep_the_rate_of_every_prefix(rate):
     (lambda: select_topk_keep(np.zeros((4, 3)), 0.5), r"not \(n, 2\)"),
     (lambda: decisions_to_mask(np.zeros((3, 3))), r"not \(n, 2\)"),
     (lambda: decisions_to_mask(np.zeros(4)), r"not \(n, 2\)"),
-], ids=["topk-str-rate", "topk-1d", "topk-3-columns", "mask-3-columns", "mask-1d"])
+    (lambda: sp.select_image_keep(None, np.zeros((4, 64)), scfg(policy="random", policy_seed=-1)),
+     "policy_seed"),
+    (lambda: sp.select_image_keep(None, np.zeros((4, 64)), scfg(policy="random", policy_seed=1.5)),
+     "policy_seed"),
+    (lambda: sp.select_image_keep(None, np.zeros((4, 64)),
+                                  scfg(policy="random", image_keep_rate="0.5")), "image_keep_rate"),
+    (lambda: sp.select_image_keep(None, np.zeros((4, 64)),
+                                  scfg(policy="structure", image_keep_rate="0.5")),
+     "image_keep_rate"),
+], ids=["topk-str-rate", "topk-1d", "topk-3-columns", "mask-3-columns", "mask-1d",
+        "random-negative-seed", "random-float-seed", "random-str-rate", "structure-str-rate"])
 def test_selection_helpers_refuse_a_bad_rate_shape_or_seed(call, match):
     with pytest.raises(ContractViolation, match=match):
         call()
@@ -423,6 +433,13 @@ def test_cached_step_with_a_non_finite_token_leaves_cache_unchanged():
         return fault
     assert_rejected_steps_leave_the_cache_unchanged(
         [poisoned(np.nan), poisoned(np.inf), poisoned(-np.inf)], match="finite")
+
+
+def test_cached_step_with_admissions_that_are_not_a_list_leaves_cache_unchanged():
+    assert_rejected_steps_leave_the_cache_unchanged([
+        lambda model, vec, pos: {"admissions": None},
+        lambda model, vec, pos: {"admissions": ()},
+    ], match="admissions")
 
 
 def test_cached_step_with_a_cache_of_another_layer_count_leaves_it_unchanged():

@@ -460,6 +460,26 @@ def test_temperatures_outside_their_ranges_are_refused():
             tr.gumbel_softmax_rows(np.zeros((2, 2)), tau, np.zeros((2, 2)))
 
 
+@pytest.mark.parametrize("noise", [
+    None, np.zeros((1, 1, 2)), np.zeros((2, 3)), np.full((2, 3, 2), np.nan),
+    np.full((2, 3, 2), -np.inf), np.zeros((2, 3, 2), dtype=np.int64),
+    np.zeros((2, 3, 2)).tolist(),
+], ids=["none", "broadcast", "other-shape", "nan", "inf", "int", "list"])
+def test_gumbel_noise_outside_its_contract_is_refused(noise):
+    with pytest.raises(ContractViolation, match="noise"):
+        tr.gumbel_softmax_rows(ad.Tensor(np.zeros((2, 3, 2))), 1.0, noise)
+
+
+def test_training_forward_without_noise_or_forced_masks_is_refused():
+    """Without noise the learned masks would train on NaN (a 0-d constant)."""
+    task, model, preds, train_cfg = keyed_lookup_setup()
+    batch = task.training_batch(np.random.default_rng(66), train_cfg.batch_size)
+    _, tape_model, tape_preds = tr._tape_copies(model, preds)
+    with pytest.raises(ContractViolation, match="noise"):
+        tr.training_forward(tape_model, tape_preds, batch, sp.SparsityConfig(sparsify_layer=1),
+                            train_cfg, tau=1.0)
+
+
 def test_training_step_on_a_batch_without_image_tokens():
     task, model, preds, train_cfg = keyed_lookup_setup()
     batch = task.training_batch(np.random.default_rng(64), train_cfg.batch_size)
@@ -482,3 +502,11 @@ def test_training_step_on_a_batch_without_image_tokens():
 def test_keyed_lookup_task_refuses_bad_arguments(field, value):
     with pytest.raises(ContractViolation, match=field):
         tasks.KeyedLookupTask(**{field: value})
+
+
+@pytest.mark.parametrize("method, name", [("training_batch", "batch_size"),
+                                          ("eval_samples", "count")])
+@pytest.mark.parametrize("count", [0, -1, 2.5, 2.0, True, "2"])
+def test_keyed_lookup_task_refuses_bad_counts(method, name, count):
+    with pytest.raises(ContractViolation, match=name):
+        getattr(tasks.KeyedLookupTask(), method)(np.random.default_rng(0), count)
