@@ -19,14 +19,26 @@ docstring says how it blocks, masks and normalizes;
 ``sparsify._sparse_forward`` says which rows prefill and no-cache decoding
 ask of it.
 
+Large array calls use both cores: once q, k and v are projected, a call
+of more than 64 rows whose heads x rows x keys reaches ``_SPLIT_SCORES``
+runs its query blocks in two halves of about equal work, the later half
+on a helper thread started for that call and joined before it returns,
+so no thread outlives a call. Each block reads the shared projections
+and writes only its own arrays, so the values are those of the serial
+loop bit for bit. Cached steps, smaller calls and the training tape stay
+serial, as does every call when the process may use one CPU.
+
 Positions are always the ORIGINAL positions assigned at embedding time, so
 removing tokens later never renumbers the survivors.
 """
 
 from __future__ import annotations
 
+import contextvars
 import io
 import json
+import os
+import threading
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -51,6 +63,23 @@ _QUERY_BLOCK = 64
 # near overflow (row sums stay below keys * e**64), so the unshifted form
 # is as precise as the shifted one and skips two passes over the scores.
 _UNSHIFTED_LIMIT = 64.0
+# Scores (heads x query rows x keys, lanes included) from which an array
+# call of layer_forward runs about half its query blocks on a helper
+# thread. Two-thread / serial wall time of one call by rows n (default
+# model's causal layer and unmasked image-predictor block, 4 heads, so
+# 4 n**2 scores; one BLAS thread, 2-core Xeon VM; medians of 120
+# interleaved calls, two runs):
+#   n            128        256        384        448        512        616
+#   scores     65536     262144     589824     802816    1048576    1517824
+#   causal   0.84-0.92  0.83-0.92  0.79-0.88  0.73-0.75  0.73-0.80  0.72-0.75
+#   predictor 1.80-1.93 1.22-1.27  0.95-1.12  0.80-0.88  0.82-0.88  0.79-0.81
+# Starting and joining the helper costs about 0.1 ms, which the 8-wide
+# predictor block earns back only past 384 rows; the threshold sits
+# between its loss there and its win at 448, so a causal layer splits
+# from 419 rows.
+_SPLIT_SCORES = 700_000
+# CPUs this process may run on; with one, every call stays serial.
+_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
 
 
 @dataclass
@@ -252,8 +281,10 @@ class KVCacheStore:
 
     def slot(self, layer: int, width: int, rows: int = 1) -> KVSlot:
         """Views over the layer's committed rows plus ``rows`` free rows of
-        width ``width`` past them, for ``layer_forward`` to write in place."""
+        width ``width`` past them, for ``layer_forward`` to write in place;
+        ``rows`` is an integer >= 1."""
         self._check_layer(layer)
+        _check_int("slot rows", rows, 1)
         if self._k[layer] is not None and self._k[layer].shape[1] != width:
             raise ContractViolation(
                 f"cache block width {width} != layer width "
@@ -264,9 +295,16 @@ class KVCacheStore:
 
     def commit(self, layer: int, positions: list):
         """Keep the first ``len(positions)`` free rows of the layer's last
-        slot, at these original positions (ints, strictly increasing and
-        past the last cached one)."""
+        slot, at these original positions (integers, not bools, strictly
+        increasing and past the last cached one)."""
         self._check_layer(layer)
+        if not all(map(_is_int, positions)):
+            raise ContractViolation(f"cache positions at layer {layer} must be "
+                                    f"integers, not bools or floats")
+        self._keep(layer, positions)
+
+    def _keep(self, layer: int, positions: list):
+        """``commit`` of integer ``positions``."""
         if not positions:
             return
         if any(b <= a for a, b in zip(positions, positions[1:])):
@@ -286,11 +324,13 @@ class KVCacheStore:
     def extend(self, layer: int, k: np.ndarray, v: np.ndarray, positions):
         """Write rows ``k[i]``, ``v[i]`` at ``positions[i]`` in one copy.
 
-        Positions must increase strictly, within the block and past the
-        last cached one. Nothing is kept unless the whole block is valid.
+        Positions must be integers (an integer array, or integers that
+        are not bools) and increase strictly, within the block and past
+        the last cached one. Nothing is kept unless the whole block is
+        valid.
         """
         self._check_layer(layer)
-        positions = np.asarray(positions, dtype=np.int64)
+        given, positions = positions, np.asarray(positions)
         if k.ndim != 2 or k.shape != v.shape or positions.shape != k.shape[:1]:
             raise ContractViolation(
                 f"cache block shapes k {k.shape}, v {v.shape} do not match "
@@ -298,10 +338,15 @@ class KVCacheStore:
         n = positions.size
         if n == 0:
             return
+        # a list mixing ints and bools converts to ints, so its items are checked
+        if positions.dtype.kind not in "iu" or (
+                not isinstance(given, np.ndarray) and not all(map(_is_int, given))):
+            raise ContractViolation(f"cache positions at layer {layer} must be "
+                                    f"integers, not bools or floats")
         keys, vals = self.slot(layer, k.shape[1], n)
         keys[-n:] = k
         vals[-n:] = v
-        self.commit(layer, positions.tolist())
+        self._keep(layer, positions.tolist())
 
     def length(self, layer: int) -> int:
         self._check_layer(layer)
@@ -396,6 +441,47 @@ def _block_rows(rows: np.ndarray, block: slice, block_mask):
     return run, picked, block_mask
 
 
+def _run_jobs(work, jobs) -> list:
+    return [work(*job) for job in jobs]
+
+
+def _run_split(work, jobs, row_keys: int) -> list:
+    """``[work(*job) for job in jobs]``, the later jobs run by a helper
+    thread while this one runs the earlier ones.
+
+    A job is ``layer_forward``'s ``(block, kmax, block_mask, shift,
+    picked)``; its cost is its rows x (kmax + ``row_keys``), since a row's
+    output projection and FFN cost about as much as attending to an FFN
+    width of keys (a least-squares fit over the blocks of a 616-row
+    causal layer put one row at 413 keys; its FFN is 384 wide). The cut
+    falls where the running cost comes closest to half the total. The
+    helper is started for this call and joined before it returns, also
+    when either half raises; an exception of the helper's half is raised
+    here after the join. It runs in a copy of the caller's context, so
+    ``np.errstate`` holds in both halves.
+    """
+    work_sums = np.cumsum([(b.stop - b.start if isinstance(b, slice) else b.size)
+                           * (kmax + row_keys) for b, kmax, *_ in jobs])
+    cut = int(np.argmin(np.abs(work_sums[:-1] - work_sums[-1] / 2))) + 1
+    tail = []
+
+    def helper():
+        try:
+            tail.append(_run_jobs(work, jobs[cut:]))
+        except BaseException as exc:  # raised below, after the join
+            tail.append(exc)
+
+    thread = threading.Thread(target=contextvars.copy_context().run, args=(helper,))
+    thread.start()
+    try:
+        head = _run_jobs(work, jobs[:cut])
+    finally:
+        thread.join()
+    if isinstance(tail[0], BaseException):
+        raise tail[0]
+    return head + tail[0]
+
+
 def _check_rows(rows, n: int, tape: bool):
     """Raise unless ``rows`` is a non-empty 1-D integer ndarray, strictly
     increasing inside [0, n), asked of array rows (not of the tape)."""
@@ -463,6 +549,19 @@ def layer_forward(layer: LayerWeights, x: np.ndarray, mask, num_heads: int,
     ``rows`` are asked for. On ``autodiff.Tensor``
     rows, weights and mask (training) it records the tape, with
     ``autodiff.exp_rows_lastdim`` in place of the kernel.
+
+    An array call of more than ``_QUERY_BLOCK`` rows whose score count,
+    heads x rows (lanes included) x keys, reaches ``_SPLIT_SCORES`` runs
+    its blocks on two threads when the process may use two CPUs. The
+    decision reads only those sizes, so smaller calls pay nothing for it.
+    ``_run_split`` cuts the blocks that run into an earlier and a later
+    half of about equal rows x (keys + FFN width), the cost of a block,
+    and a helper thread started for the call runs the later half while
+    the caller runs the earlier; the outputs join in block order after
+    the helper is joined, and an exception from either half is raised
+    then. The tape never splits, and no thread outlives the call. Every
+    block reads only the shared q, k, v, ``x``, mask and bound and writes
+    its own arrays, so split and serial calls agree bit for bit.
     """
     tape = isinstance(x, ad.Tensor)
     if rows is not None:
@@ -493,15 +592,7 @@ def layer_forward(layer: LayerWeights, x: np.ndarray, mask, num_heads: int,
     if not tape and n > _QUERY_BLOCK:  # |q_i . k_j| <= |q_i| max_j |k_j|, per head
         bound = (np.linalg.norm(q_h, axis=-1)
                  * np.linalg.norm(k_h, axis=-1).max(axis=-1, keepdims=True))
-    blocks = []
-    for block, kmax, block_mask in _query_blocks(mask, n, n_keys):
-        if not tape:  # a NaN or inf bound fails the test and keeps the shift
-            shift = bound is None or not bound[..., block].max() <= _UNSHIFTED_LIMIT
-        picked = None
-        if rows is not None:
-            block, picked, block_mask = _block_rows(rows, block, block_mask)
-            if block is None:
-                continue
+    def block_out(block, kmax, block_mask, shift, picked):
         scores = q_h[..., block, :] @ k_h[..., :kmax, :].swapaxes(-1, -2)
         if tape:
             scores, sums = ad.exp_rows_lastdim(scores, block_mask)
@@ -514,7 +605,23 @@ def layer_forward(layer: LayerWeights, x: np.ndarray, mask, num_heads: int,
         attn_out = x_rows + ctx @ layer.w_o
         normed2 = _rms_norm(attn_out, layer.ffn_norm_gain)
         y = attn_out + _silu(normed2 @ layer.ffn_in) @ layer.ffn_out
-        blocks.append(y if picked is None else y[..., picked, :])
+        return y if picked is None else y[..., picked, :]
+
+    jobs = []
+    for block, kmax, block_mask in _query_blocks(mask, n, n_keys):
+        # a NaN or inf bound fails the test and keeps the shift
+        shift = bound is None or not bound[..., block].max() <= _UNSHIFTED_LIMIT
+        picked = None
+        if rows is not None:
+            block, picked, block_mask = _block_rows(rows, block, block_mask)
+            if block is None:
+                continue
+        jobs.append((block, kmax, block_mask, shift, picked))
+    if (not tape and _CPUS > 1 and len(jobs) > 1
+            and num_heads * (x.size // d) * n_keys >= _SPLIT_SCORES):
+        blocks = _run_split(block_out, jobs, layer.ffn_in.shape[1])
+    else:
+        blocks = _run_jobs(block_out, jobs)
     out = blocks[0] if len(blocks) == 1 else concat(blocks, axis=-2)
     if meter is not None:
         every, f = x.size // d, layer.ffn_in.shape[1]
@@ -564,6 +671,17 @@ def _check_int(name: str, value, low: int, high: int = None):
     if not (_is_int(value) and low <= value and (high is None or value < high)):
         bounds = f">= {low}" if high is None else f"in [{low}, {high})"
         raise ContractViolation(f"{name} must be an integer {bounds}, got {value!r}")
+
+
+def _check_type(name: str, value, cls):
+    """Raise unless ``value`` is an instance of ``cls``."""
+    if not isinstance(value, cls):
+        raise ContractViolation(f"{name} is a {type(value).__name__}, not a {cls.__name__}")
+
+
+def _check_cache(cache):
+    """Raise unless ``cache`` is a ``KVCacheStore``."""
+    _check_type("cache", cache, KVCacheStore)
 
 
 def _check_rate(name: str, value):

@@ -63,10 +63,12 @@ from .model import (
     KVCacheStore,
     Model,
     SequenceState,
+    _check_cache,
     _check_choice,
     _check_int,
     _check_position,
     _check_rate,
+    _check_type,
     _logits_at,
     append_output,
     attend_cached,
@@ -115,6 +117,7 @@ def _validate(model: Model, predictors: Predictors, cfg: SparsityConfig):
     """``cfg.validate`` for ``model``, and, when ``cfg`` consults the
     predictors (the learned policy with a keep rate below 1), a check that
     there are predictors and that they read rows of the model's width."""
+    _check_type("cfg", cfg, SparsityConfig)
     cfg.validate(model.config.num_layers)
     d = model.config.hidden_dim
     rate = min(cfg.image_keep_rate, cfg.output_keep_rate)
@@ -291,7 +294,9 @@ def _survivors(state: SequenceState, image_keep: np.ndarray, out_flags=None):
 def _check_state(model: Model, state: SequenceState, decode: bool):
     """Refuse, from shapes alone, a state ``_sparse_forward`` cannot run:
     rows that are not (n, hidden_dim) arrays, no image or text row, more
-    than max_seq_len rows or, when ``decode``, no output row."""
+    than max_seq_len rows or, when ``decode``, no output row. A
+    ``state`` that is not a ``SequenceState`` is refused first."""
+    _check_type("state", state, SequenceState)
     d = model.config.hidden_dim
     for name in ("image", "text", "output"):
         rows = getattr(state, name)
@@ -416,6 +421,7 @@ def sparse_decode_with_cache(model: Model, predictors: Predictors,
     unchanged. Returns (logits, admitted flag).
     """
     _validate(model, predictors, cfg)
+    _check_cache(cache)
     if cache.num_layers != model.config.num_layers:
         raise ContractViolation(f"cache of {cache.num_layers} layers for a "
                                 f"{model.config.num_layers}-layer model")
@@ -552,6 +558,7 @@ def batch_sparse_prefill(model: Model, predictors: Predictors,
     """Sparse prefill of each lane on its own, with no cache kept: the
     (B, vocab) last-position logits and the per-lane keep sets, exactly
     those of ``sparse_prefill`` on each lane alone."""
+    _check_type("batch", batch, PaddedBatch)
     logits, keep_sets, _ = zip(*(_forward(model, predictors, st, cfg, False)
                                  for st in batch.states))
     return np.stack(logits), list(keep_sets)
@@ -566,6 +573,7 @@ def batch_sparse_decode(model: Model, predictors: Predictors,
     (``with_cache``). Lanes may hold different numbers of outputs, but each
     needs at least one; every lane passes ``_check_state`` before any runs."""
     _check_choice("mode", mode, DECODE_MODES)
+    _check_type("batch", batch, PaddedBatch)
     for st in batch.states:
         _check_state(model, st, False)
     if any(st.n_output < 1 for st in batch.states):

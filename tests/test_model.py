@@ -756,6 +756,44 @@ def test_cache_refuses_a_bad_layer_or_layer_count():
     assert cache.stacked(0)[0].shape == (1, 8)
 
 
+def test_cache_refuses_positions_that_are_not_integers():
+    row = np.zeros((1, 8))
+    cache = m.KVCacheStore(1)
+    cache.extend(0, np.ones((3, 8)), np.ones((3, 8)), [0, 1, 2])
+    before = cache_snapshot(cache, 0)
+    calls = [lambda p: cache.extend(0, row, row, [p]),
+             lambda p: cache.append(0, row[0], row[0], p),
+             lambda p: cache.extend(0, np.zeros((2, 8)), np.zeros((2, 8)), [5, p])]
+    for bad in (7.9, 7.0, np.float64(8.0), True, np.bool_(True), "9", None):
+        for call in calls:
+            with pytest.raises(ContractViolation, match="integers"):
+                call(bad)
+        cache.slot(0, 8, 2)
+        with pytest.raises(ContractViolation, match="integers"):
+            cache.commit(0, [bad])
+        with pytest.raises(ContractViolation, match="integers"):
+            cache.commit(0, [5, bad])
+        after = cache_snapshot(cache, 0)
+        assert np.array_equal(before[0], after[0]) and before[2:] == after[2:]
+    cache.extend(0, row, row, np.array([3], dtype=np.uint8))
+    cache.slot(0, 8)
+    cache.commit(0, [np.int32(4)])
+    assert cache.positions[0] == [0, 1, 2, 3, 4]
+
+
+def test_cache_slot_refuses_a_row_count_below_one_or_not_an_integer():
+    cache = m.KVCacheStore(1)
+    cache.extend(0, np.ones((2, 8)), np.ones((2, 8)), [0, 1])
+    before = cache_snapshot(cache, 0)
+    for rows in (0, -1, 2.5, 1.0, True, None):
+        with pytest.raises(ContractViolation, match="slot rows"):
+            cache.slot(0, 8, rows)
+    after = cache_snapshot(cache, 0)
+    assert np.array_equal(before[0], after[0]) and before[2:] == after[2:]
+    k, v = cache.slot(0, 8, 3)
+    assert k.shape == v.shape == (5, 8)
+
+
 def test_layer_forward_on_slot_equals_plain_pair_bit_for_bit():
     model = toy_model(8)
     layer = model.layers[1]
@@ -868,3 +906,129 @@ def test_model_config_rejects_an_integer_field_that_is_not_an_integer(field, val
 def test_model_config_refuses_heads_that_do_not_divide_the_width():
     with pytest.raises(ContractViolation, match="not divisible by ModelConfig.num_heads 3"):
         m.make_model(replace(TOY, num_heads=3), seed=0)
+
+
+# -- query blocks on two threads ------------------------------------------------
+
+
+SERVING = m.ModelConfig(max_seq_len=1024)  # the paper-shaped default layer
+
+
+def split_then_serial(monkeypatch, call):
+    """``call()`` with two CPUs, where it must run ``_run_split``, then with
+    one, where it must not; returns both results."""
+    splits = []
+    run_split = m._run_split
+    monkeypatch.setattr(m, "_run_split", lambda *a: splits.append(a) or run_split(*a))
+    monkeypatch.setattr(m, "_CPUS", 2)
+    split = call()
+    assert len(splits) == 1
+    monkeypatch.setattr(m, "_CPUS", 1)
+    serial = call()
+    assert len(splits) == 1
+    return split, serial
+
+
+def assert_same_bits(a, b):
+    assert len(a) == len(b)
+    for x, y in zip(a, b):
+        assert np.array_equal(x, y)
+
+
+def test_a_split_causal_call_matches_the_serial_loop_bit_for_bit(monkeypatch):
+    layer = m.make_model(SERVING, seed=3).layers[0]
+    x = np.random.default_rng(40).normal(size=(616, 64))
+    mask = m.causal_mask(616)
+    assert_same_bits(*split_then_serial(monkeypatch, lambda: m.layer_forward(layer, x, mask, 4)))
+
+
+def test_a_split_predictor_block_matches_the_serial_loop_bit_for_bit(monkeypatch):
+    blk = make_predictors(PredictorConfig(input_dim=64), seed=1).image_blocks[0]
+    x = np.random.default_rng(41).normal(size=(576, blk.w_q.shape[0]))
+    assert_same_bits(*split_then_serial(monkeypatch, lambda: m.layer_forward(blk, x, None, 4)))
+
+
+def test_a_split_rows_call_matches_the_serial_loop_bit_for_bit(monkeypatch):
+    layer = m.make_model(SERVING, seed=4).layers[1]
+    rng = np.random.default_rng(42)
+    x = rng.normal(size=(616, 64))
+    rows = np.sort(np.concatenate([rng.choice(np.arange(0, 576), 150, replace=False),
+                                   [600]]))  # the last block asks for one row
+    call = lambda: m.layer_forward(layer, x, m.causal_mask(616), 4, rows=rows)  # noqa: E731
+    split, serial = split_then_serial(monkeypatch, call)
+    assert split[0].shape == (rows.size, 64)
+    assert_same_bits(split, serial)
+
+
+def test_a_split_padded_batch_matches_the_serial_loop_bit_for_bit(monkeypatch):
+    from ctxsparse.sparsify import _padded_causal_mask, left_pad
+    layer = m.make_model(SERVING, seed=5).layers[2]
+    rng = np.random.default_rng(43)
+    x, valid = left_pad([rng.normal(size=(n, 64)) for n in (450, 300, 420)])
+    mask = _padded_causal_mask(valid)[:, None]
+    assert mask.shape == (3, 1, 450, 450)
+    assert_same_bits(*split_then_serial(monkeypatch, lambda: m.layer_forward(layer, x, mask, 4)))
+
+
+def test_concurrent_split_calls_under_fast_switching_keep_their_bits(monkeypatch):
+    import sys
+    import threading
+    layer = m.make_model(SERVING, seed=8).layers[0]
+    rng = np.random.default_rng(46)
+    xs = [rng.normal(size=(616, 64)) for _ in range(3)]
+    mask = m.causal_mask(616)
+    monkeypatch.setattr(m, "_CPUS", 1)
+    serial = [m.layer_forward(layer, x, mask, 4) for x in xs]
+    monkeypatch.setattr(m, "_CPUS", 2)
+    got = [None] * len(xs)
+
+    def run(i):
+        got[i] = m.layer_forward(layer, xs[i], mask, 4)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:  # three callers, each with a helper: six threads on at most two cores
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(xs))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for want, have in zip(serial, got):
+        assert_same_bits(want, have)
+
+
+@pytest.mark.parametrize("hidden_row", [600, 10])  # in the helper's half, then the caller's
+def test_a_split_call_raises_a_hidden_row_after_joining_its_helper(monkeypatch, hidden_row):
+    import threading
+    layer = m.make_model(SERVING, seed=6).layers[0]
+    x = np.random.default_rng(44).normal(size=(616, 64))
+    mask = m.causal_mask(616)
+    mask[hidden_row] = False
+    splits = []
+    run_split = m._run_split
+    monkeypatch.setattr(m, "_run_split", lambda *a: splits.append(a) or run_split(*a))
+    monkeypatch.setattr(m, "_CPUS", 2)
+    threads = threading.active_count()
+    with pytest.raises(ContractViolation, match="all zeros"):
+        m.layer_forward(layer, x, mask, 4)
+    assert len(splits) == 1
+    assert threading.active_count() == threads
+
+
+def test_small_calls_cached_steps_and_the_tape_stay_serial(monkeypatch):
+    from ctxsparse import autodiff as ad
+    monkeypatch.setattr(m, "_run_split", lambda *a: pytest.fail("split"))
+    monkeypatch.setattr(m, "_CPUS", 2)
+    layer = m.make_model(SERVING, seed=7).layers[0]
+    rng = np.random.default_rng(45)
+    x = rng.normal(size=(155, 64))  # 4 x 155 x 155 scores, under _SPLIT_SCORES
+    assert 4 * 155 * 155 < m._SPLIT_SCORES
+    m.layer_forward(layer, x, m.causal_mask(155), 4)
+    monkeypatch.setattr(m, "_SPLIT_SCORES", 0)
+    store = m.KVCacheStore(1)
+    store.extend(0, rng.normal(size=(600, 64)), rng.normal(size=(600, 64)), np.arange(600))
+    m.layer_forward(layer, x[:1], None, 4, past_kv=store.slot(0, 64))
+    m.layer_forward(layer, x[:64], m.causal_mask(64), 4)
+    m.layer_forward(layer, ad.Tensor(x, requires_grad=False), m.causal_mask(155), 4)

@@ -1214,3 +1214,24 @@ def test_forwards_compute_only_the_rows_a_later_layer_reads(monkeypatch):
     calls.clear()
     m.full_logits(model, state)
     assert calls == [[li, state.total] for li in range(4)]
+
+
+def test_entry_points_refuse_foreign_objects_before_any_layer_runs(monkeypatch):
+    model, preds, state = setup(60)
+    monkeypatch.setattr(sp, "layer_forward", lambda *a, **k: pytest.fail("a layer ran"))
+    token = np.zeros(CFG.hidden_dim)
+    batch = sp.PaddedBatch([state.copy()])
+    calls = [
+        ("cache is a NoneType", lambda: sp.sparse_decode_with_cache(
+            model, preds, None, [], token, state.n_prefill, scfg())),
+        ("state is a NoneType", lambda: sp.sparse_prefill(model, preds, None, scfg())),
+        ("state is a list", lambda: sp.sparse_decode_no_cache(model, preds, [state], scfg())),
+        ("cfg is a NoneType", lambda: sp.sparse_greedy_generate(model, preds, state, None, 2)),
+        ("cfg is a dict", lambda: sp.sparse_prefill(model, preds, state, {})),
+        ("cfg is a NoneType", lambda: sp.batch_sparse_prefill(model, preds, batch, None)),
+        ("batch is a list", lambda: sp.batch_sparse_decode(model, preds, [state], scfg())),
+        ("batch is a list", lambda: sp.batch_sparse_prefill(model, preds, [state], scfg())),
+    ]
+    for message, call in calls:
+        with pytest.raises(ContractViolation, match=message):
+            call()
